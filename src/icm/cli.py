@@ -42,15 +42,29 @@ def _jsonable(value):
     return value
 
 
-def _ideal_doc(I):
-    return ideal_to_document(I)
-
-
 def _load_ideal(text, args):
     if args.json:
-        with open(text, encoding="utf-8") as fh:
-            return ideal_from_document(json.load(fh))
+        try:
+            with open(text, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as ex:
+            raise IdealParseError(f"unreadable ideal document: {ex}",
+                                  0) from None
+        return ideal_from_document(doc)
     return parse_ideal(text, dim=args.dim)
+
+
+def _parse_budget(text):
+    """The --budget flag, else ICM_BUDGET, else the default; a count >= 0."""
+    if text is None:
+        text = os.environ.get("ICM_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {text!r}")
+    return budget
 
 
 def _require_closed(I, name="ideal"):
@@ -64,7 +78,7 @@ def _require_closed(I, name="ideal"):
 
 def _cmd_closure(args):
     I = _load_ideal(args.ideal, args)
-    return _ideal_doc(integral_closure(I))
+    return ideal_to_document(integral_closure(I))
 
 
 def _cmd_closed(args):
@@ -75,7 +89,7 @@ def _cmd_closed(args):
 def _cmd_star(args):
     I = _load_ideal(args.left, args)
     J = _load_ideal(args.right, args)
-    return _ideal_doc(star(I, J))
+    return ideal_to_document(star(I, J))
 
 
 def _cmd_ord(args):
@@ -86,14 +100,14 @@ def _cmd_ord(args):
 def _cmd_colon(args):
     I = _load_ideal(args.left, args)
     J = _load_ideal(args.right, args)
-    return _ideal_doc(colon(I, J))
+    return ideal_to_document(colon(I, J))
 
 
 def _cmd_factor(args):
     I = integral_closure(_load_ideal(args.ideal, args))
     f = factor_atoms(I, budget=args.budget)
-    return {"base": _ideal_doc(f.base),
-            "atoms": [_ideal_doc(a) for a in f.atoms],
+    return {"base": ideal_to_document(f.base),
+            "atoms": [ideal_to_document(a) for a in f.atoms],
             "length": len(f)}
 
 
@@ -119,7 +133,7 @@ def _cmd_divides(args):
     _require_closed(J, "dividend")
     K = divides(I, J, budget=args.budget)
     return {"divides": K is not None,
-            "cofactor": _ideal_doc(K) if K is not None else None}
+            "cofactor": ideal_to_document(K) if K is not None else None}
 
 
 def _cmd_decompose2d(args):
@@ -135,7 +149,7 @@ def _cmd_phi(args):
     pts = parse_points(args.points, dim=args.dim)
     P = hull(pts, len(pts[0]))
     c = phi(P)
-    return {"num": _ideal_doc(c.num), "den": _ideal_doc(c.den),
+    return {"num": ideal_to_document(c.num), "den": ideal_to_document(c.den),
             "identity": c.is_identity}
 
 
@@ -161,7 +175,7 @@ def _cmd_verify(args):
     rhs = star(star(J1p, J2p), J3p)
     results = all_factorizations(lhs, budget=args.budget)
     return {"equal": lhs == rhs,
-            "product": _ideal_doc(lhs),
+            "product": ideal_to_document(lhs),
             "ords": [ord_valuation(I) for I in (m, J1, J1p, J2p, J3p)],
             "distinct_factorizations": len(results),
             "factorization_sizes": sorted(len(fz) for fz in results)}
@@ -185,10 +199,9 @@ def build_parser():
                     "monomial ideals, and the 2D integral polytope group.")
     parser.add_argument("--dim", type=int, default=None,
                         help="ambient dimension (default: inferred)")
-    parser.add_argument("--budget", type=int,
-                        default=int(os.environ.get("ICM_BUDGET",
-                                                   DEFAULT_BUDGET)),
-                        help="search budget for factorization commands")
+    parser.add_argument("--budget", default=None,
+                        help="search budget for factorization commands "
+                             f"(default: $ICM_BUDGET, else {DEFAULT_BUDGET})")
     parser.add_argument("--json", action="store_true",
                         help="treat ideal arguments as IdealDocument "
                              "JSON file paths")
@@ -243,9 +256,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    raw_input_args = {k: v for k, v in vars(args).items()
-                      if k not in ("fn", "canonical", "command")}
     try:
+        args.budget = _parse_budget(args.budget)
+        raw_input_args = {k: v for k, v in vars(args).items()
+                          if k not in ("fn", "canonical", "command")}
         result = args.fn(args)
     except IdealParseError as ex:
         print(json.dumps({"error": str(ex), "position": ex.position}))

@@ -1,5 +1,7 @@
 """Exact rational feasibility of small linear systems.
 
+It serves bounded hulls: polytopes.hull drops a point from a polytope of
+dimension 3 or more when the LP finds it a convex combination of the rest.
 Phase-1 simplex with Bland's rule, run fraction-free on an integer tableau
 (two-step Bareiss division keeps entries integral, so there is no rounding
 anywhere).  Sizes here are tiny; exactness is the point.
@@ -85,23 +87,6 @@ def feasible_nonneg(rows, rhs):
         denom = piv
         basis[leave] = enter
     return cost[-1] == 0
-
-
-def dominating_combination_exists(points, q):
-    """Exists lambda >= 0 with sum(lambda) = 1 and sum(lambda_i p_i) <= q?
-
-    This is exact membership of q in conv(points) + R^d_+.
-    """
-    points = list(points)
-    d = len(q)
-    n = len(points)
-    rows = []
-    # sum lambda_i p_ij + s_j = q_j
-    for j in range(d):
-        rows.append([p[j] for p in points] + [1 if k == j else 0 for k in range(d)])
-    rows.append([1] * n + [0] * d)
-    rhs = list(q) + [1]
-    return feasible_nonneg(rows, rhs)
 
 
 def convex_combination_exists(points, q):

@@ -52,8 +52,8 @@ def star_power(I, n):
 
 def quotient_cancel(S, K):
     """Recover H from S = star(H, K), constructively via the colon ideal."""
-    H = colon(S, K)
-    if star(H, K) != S:
+    H = divides(K, S)
+    if H is None:
         raise NotStarMultipleError("ideal is not a star multiple of the divisor")
     return H
 
@@ -118,17 +118,12 @@ def _divisor_pairs(I, budget, ord_lo, ord_hi):
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    The colon candidate is always correct when I does divide J (closure(HK)
-    colon K recovers closure(H)); the exhaustive fallback is defensive only.
+    By cancellation, closure(HK) : K = closure(H), so if I divides J at all,
+    the colon J : I is the cofactor; no search runs.  The budget keyword is
+    kept because callers pass one to every monoid query; it is never spent.
     """
     K = colon(J, I)
-    if star(I, K) == J:
-        return K
-    budget = _as_budget(budget)
-    for cand in closed_supersets(J, budget):
-        if star(I, cand) == J:
-            return cand
-    return None
+    return K if star(I, K) == J else None
 
 
 _irreducible_cache = {}

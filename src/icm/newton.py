@@ -1,9 +1,9 @@
 """Newton polyhedra NP(I) = conv(points) + R^d_+ and integral closure.
 
-The membership contract is exact rational feasibility (see feasibility.py).
-Lattice-point extraction for integral closure goes through an exact
-half-space description instead; both routes agree and the tests cross-check
-them against each other.
+Every question about a polyhedron (membership of rational points, vertices,
+equality, lattice points for integral closure) is answered from one exact,
+cached half-space description with integer normals.  The tests check it
+against an independent rational LP.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .feasibility import dominating_combination_exists
-from .ideals import (MonomialIdeal, box_points, contains, generator_box,
-                     minimalize)
+from .ideals import box_points, contains, generator_box, minimalize
 
 
 @dataclass(frozen=True)
@@ -35,8 +33,7 @@ class NewtonPolyhedron:
 
 def np_of(I):
     """Newton polyhedron of a monomial ideal; the generators support it."""
-    return NewtonPolyhedron(I.dim, I.points if isinstance(I, NewtonPolyhedron)
-                            else tuple(sorted(set(I.gens))))
+    return NewtonPolyhedron(I.dim, I.gens)
 
 
 def member(P, q):
@@ -44,18 +41,16 @@ def member(P, q):
     q = tuple(q)
     if len(q) != P.dim:
         raise DimensionMismatchError(f"point has length {len(q)}, expected {P.dim}")
-    return dominating_combination_exists(P.points, q)
+    return _facet_member(P.points, P.dim, q)
 
 
 def vertices(P):
     """The unique minimal generating set of the polyhedron."""
-    pts = list(P.points)
-    verts = []
-    for i, p in enumerate(pts):
-        rest = pts[:i] + pts[i + 1:]
-        if not rest or not dominating_combination_exists(rest, p):
-            verts.append(p)
-    return set(verts)
+    pts = sorted(set(P.points))
+    if len(pts) == 1:
+        return set(pts)
+    return {p for i, p in enumerate(pts)
+            if not _facet_member(tuple(pts[:i] + pts[i + 1:]), P.dim, p)}
 
 
 def reduce_points(P):
@@ -72,13 +67,11 @@ def mink_sum(P, Q):
 
 
 def np_equal(P, Q):
-    """Member-equivalence: mutual containment of the reduced vertex sets."""
+    """Equality as point sets: each polyhedron contains the other's points."""
     if P.dim != Q.dim:
         raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
-    vp, vq = vertices(P), vertices(Q)
-    if len(vp) != len(vq):
-        return False
-    return (all(member(Q, v) for v in vp) and all(member(P, v) for v in vq))
+    return (all(_facet_member(Q.points, Q.dim, p) for p in P.points)
+            and all(_facet_member(P.points, P.dim, q) for q in Q.points))
 
 
 def _int_det(mat):
@@ -143,7 +136,7 @@ def _facet_inequalities(points, dim):
 
 
 def _facet_member(points, dim, q):
-    """Half-space membership test; equivalent to member() on lattice points."""
+    """Exact test: q in conv(points) + R^d_+, for integer or rational q."""
     for c, m in _facet_inequalities(points, dim):
         if sum(a * b for a, b in zip(c, q)) < m:
             return False

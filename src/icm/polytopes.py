@@ -356,10 +356,6 @@ def class_equal_ideal(a, b):
     return left == right
 
 
-def class_multiply(a, b):
-    return ideal_class(star(a.num, b.num), star(a.den, b.den))
-
-
 def phi(P):
     """Class of the ideal spanned by the lattice points of P + R^d_+, after
     translating P into the nonnegative orthant."""

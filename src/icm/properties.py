@@ -11,10 +11,9 @@ import random
 from itertools import combinations
 
 from .ideals import (MonomialIdeal, minimalize, ord_valuation, unit_ideal)
-from .monoid import quotient_cancel, star, star_power
+from .monoid import is_star_irreducible, quotient_cancel, star, star_power
 from .newton import (integral_closure, is_integrally_closed, mink_sum,
                      np_equal, np_of)
-from .monoid import is_star_irreducible
 from .polytopes import (class_equal, class_equal_ideal, decompose_2d,
                         group_add, group_element, hull, ideal_class,
                         ideal_to_polytope, p_mink_sum, phi, phi_group,

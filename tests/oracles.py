@@ -1,0 +1,56 @@
+"""Slow, independent reference routes that the tests check the library against.
+
+The library answers Newton-polyhedron questions from a half-space
+description and divisibility by cancellation; these oracles answer the same
+questions by rational LP feasibility and by exhaustive search instead.
+"""
+
+from itertools import product as iproduct
+
+from icm.feasibility import feasible_nonneg
+from icm.ideals import minimalize
+from icm.monoid import closed_supersets, star
+
+
+def member_lp(points, q):
+    """Exists lambda >= 0 with sum(lambda) = 1 and sum(lambda_i p_i) <= q?
+
+    This is exact membership of q in conv(points) + R^d_+.
+    """
+    points = list(points)
+    d = len(q)
+    n = len(points)
+    rows = []
+    # sum lambda_i p_ij + s_j = q_j
+    for j in range(d):
+        rows.append([p[j] for p in points] + [1 if k == j else 0 for k in range(d)])
+    rows.append([1] * n + [0] * d)
+    rhs = list(q) + [1]
+    return feasible_nonneg(rows, rhs)
+
+
+def vertices_lp(points):
+    """Points of the list that are not in NP of the others, by LP."""
+    pts = sorted(set(points))
+    return {p for i, p in enumerate(pts)
+            if len(pts) == 1 or not member_lp(pts[:i] + pts[i + 1:], p)}
+
+
+def closure_lp(I):
+    """Integral closure: minimal box points that are LP members of NP(I)."""
+    box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
+    pts = [p for p in iproduct(*(range(b + 1) for b in box))
+           if member_lp(I.gens, p)]
+    return minimalize(pts, I.dim)
+
+
+def divides_by_search(I, J):
+    """A closed K with star(I, K) == J, found by exhaustive search, or None.
+
+    Every such K contains J and has its generators in J's box, so the closed
+    supersets of J are all the candidates.
+    """
+    for K in closed_supersets(J, budget=None):
+        if star(I, K) == J:
+            return K
+    return None

@@ -9,15 +9,16 @@ import random
 from functools import lru_cache
 from itertools import combinations, product as iproduct
 
-from icm.ideals import (MonomialIdeal, minimalize, ord_valuation,
-                        principal_ideal, unit_ideal)
+from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
+                        unit_ideal)
 from icm.monoid import (all_factorizations, closed_supersets, divides,
                         is_star_irreducible, quotient_cancel, star)
-from icm.newton import integral_closure, member, np_of
+from icm.newton import integral_closure
 from icm.parsing import parse_ideal
 from icm.polytopes import (class_equal_ideal, colon_factorization_2d,
                            ideal_class, ideal_to_polytope, phi)
 from icm.properties import (POLYTOPE_SUITES, run_suites, random_closed_ideal)
+from oracles import closure_lp, divides_by_search
 
 
 def report(number, description, ok):
@@ -84,9 +85,12 @@ def test_criterion_4_m_not_prime():
                         and is_star_irreducible(J1))
     # ...but if m divided J1'*J2' (cofactor K), cancellation in
     # m*J1 = (J1'*J2')*J3' would give J1 = K*J3', a proper factorization
-    # of the atom J1; likewise for m | J3'.  Both divisions must fail.
-    no_split_left = divides(m, star(J1p, J2p)) is None
-    no_split_right = divides(m, J3p) is None
+    # of the atom J1; likewise for m | J3'.  Both divisions must fail, and
+    # an exhaustive search over every candidate cofactor confirms each one.
+    no_split_left = all(d(m, star(J1p, J2p)) is None
+                        for d in (divides, divides_by_search))
+    no_split_right = all(d(m, J3p) is None
+                         for d in (divides, divides_by_search))
     report(4, "m is not prime",
            divides_product and cofactor_is_atom
            and no_split_left and no_split_right)
@@ -125,23 +129,15 @@ def _antichains_3d(bound, max_gens):
                 yield combo
 
 
-def _closure_by_lp(I):
-    """Independent closure oracle: LP membership of every box point."""
-    box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
-    P = np_of(I)
-    pts = [p for p in iproduct(*(range(b + 1) for b in box)) if member(P, p)]
-    return minimalize(pts, I.dim)
-
-
 def test_criterion_6_closure_oracle_equivalence():
     bad = []
     for gens in _antichains_2d(6, 4):
         I = MonomialIdeal(2, tuple(sorted(gens)))
-        if integral_closure(I) != _closure_by_lp(I):
+        if integral_closure(I) != closure_lp(I):
             bad.append(I)
     for gens in _antichains_3d(3, 4):
         I = MonomialIdeal(3, tuple(sorted(gens)))
-        if integral_closure(I) != _closure_by_lp(I):
+        if integral_closure(I) != closure_lp(I):
             bad.append(I)
     report(6, "closure oracle equivalence", not bad)
 

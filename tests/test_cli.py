@@ -108,6 +108,23 @@ class TestExitCodes:
         code, out = run(capsys, "irreducible?", "x^2,y^2")
         assert code == 2
 
+    def test_unreadable_json_document(self, capsys, tmp_path):
+        code, out = run(capsys, "--json", "closure",
+                        str(tmp_path / "missing.json"))
+        assert code == 1
+        assert "position" in out
+
+    def test_non_integer_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICM_BUDGET", "abc")
+        code, out = run(capsys, "closure", "x")
+        assert code == 2
+        assert "budget" in out["error"]
+
+    def test_negative_budget_flag(self, capsys):
+        code, out = run(capsys, "--budget", "-1", "factor", "x^2,x*y,y^2")
+        assert code == 2
+        assert "budget" in out["error"]
+
     def test_budget_exceeded(self, capsys):
         code, out = run(capsys, "--budget", "1", "factorizations",
                         "x^9,x*y,y^9")

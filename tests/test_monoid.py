@@ -1,11 +1,13 @@
 import pytest
 
 from icm.errors import BudgetExceededError, NotStarMultipleError
-from icm.ideals import MonomialIdeal, ord_valuation, unit_ideal
-from icm.monoid import (SearchBudget, all_factorizations, divides,
-                        factor_atoms, is_star_irreducible, quotient_cancel,
-                        star, star_power)
+from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
+                        unit_ideal)
+from icm.monoid import (SearchBudget, all_factorizations, closed_supersets,
+                        divides, factor_atoms, is_star_irreducible,
+                        quotient_cancel, star, star_power)
 from icm.newton import is_integrally_closed
+from oracles import divides_by_search
 
 
 def ideal(*gens):
@@ -60,7 +62,9 @@ class TestDivides:
         assert divides(I, I) == unit_ideal(2)
 
     def test_absent_when_ord_would_decrease(self):
-        assert divides(ideal((2, 0), (0, 1)), M2) is None
+        budget = SearchBudget(1)
+        assert divides(ideal((2, 0), (0, 1)), M2, budget=budget) is None
+        assert budget.examined == 0
 
     def test_cofactor_validates(self):
         I = ideal((2, 0), (0, 1))
@@ -68,6 +72,13 @@ class TestDivides:
         S = star(I, J)
         K = divides(I, S)
         assert K is not None and star(I, K) == S
+
+    def test_against_search_oracle(self):
+        # every closed ideal with generators in [0,3] x [0,2]
+        closed = list(closed_supersets(principal_ideal((3, 2)), budget=None))
+        for I in closed:
+            for J in closed:
+                assert divides(I, J) == divides_by_search(I, J), (I, J)
 
 
 class TestIrreducible:

@@ -9,6 +9,7 @@ from icm.ideals import (MonomialIdeal, contains, minimalize, principal_ideal,
 from icm.newton import (NewtonPolyhedron, integral_closure,
                         is_integrally_closed, member, mink_sum, np_equal,
                         np_of, reduce_points, vertices)
+from oracles import closure_lp, member_lp, vertices_lp
 
 
 def ideal(*gens):
@@ -16,18 +17,23 @@ def ideal(*gens):
     return MonomialIdeal(len(gens[0]), tuple(sorted(gens)))
 
 
-def brute_closure(I):
-    """Independent oracle: minimal lattice points of NP(I) in the box,
-    via the LP membership route only."""
-    box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
-    pts = []
-    ranges = [range(b + 1) for b in box]
-    from itertools import product as iproduct
-    P = np_of(I)
-    for p in iproduct(*ranges):
-        if member(P, p):
-            pts.append(p)
-    return minimalize(pts, I.dim)
+def random_points(rng, dim):
+    """One to five points in [0,4]^dim, repeats allowed, in random order."""
+    return [tuple(rng.randint(0, 4) for _ in range(dim))
+            for _ in range(rng.randint(1, 5))]
+
+
+def probe_points(rng, pts):
+    """Rational points off, on and just below the boundary of NP(pts)."""
+    dim = len(pts[0])
+    probes = [tuple(Fraction(rng.randint(0, 15), rng.randint(1, 3))
+                    for _ in range(dim)) for _ in range(6)]
+    for p in pts:
+        q = rng.choice(pts)
+        probes.append(tuple(Fraction(a + b, 2) for a, b in zip(p, q)))
+        k = rng.randrange(dim)
+        probes.append(p[:k] + (p[k] - Fraction(1, 2),) + p[k + 1:])
+    return probes
 
 
 class TestMember:
@@ -53,6 +59,15 @@ class TestMember:
         with pytest.raises(DimensionMismatchError):
             member(np_of(ideal((1, 0))), (1, 0, 0))
 
+    def test_against_lp_oracle(self):
+        rng = random.Random(11)
+        for dim in (1, 2, 3, 4):
+            for _ in range(40):
+                pts = random_points(rng, dim)
+                P = NewtonPolyhedron(dim, tuple(pts))
+                for q in probe_points(rng, pts):
+                    assert member(P, q) == member_lp(pts, q), (pts, q)
+
     def test_invariant_under_redundant_points(self):
         P = np_of(ideal((2, 0), (0, 2)))
         Q = NewtonPolyhedron(2, ((0, 2), (1, 1), (2, 0), (3, 3)))
@@ -73,9 +88,30 @@ class TestVertices:
     def test_single_point(self):
         assert vertices(NewtonPolyhedron(2, ((0, 0),))) == {(0, 0)}
 
+    def test_repeated_point_is_kept(self):
+        P = NewtonPolyhedron(2, ((1, 1), (1, 1), (3, 0)))
+        assert vertices(P) == {(1, 1), (3, 0)}
+        assert reduce_points(P).points == ((1, 1), (3, 0))
+        assert np_equal(P, reduce_points(P))
+        assert not np_equal(P, NewtonPolyhedron(2, ((3, 0),)))
+
     def test_reduction_is_member_equivalent(self):
         P = NewtonPolyhedron(2, ((0, 3), (1, 2), (2, 0), (2, 2)))
         assert np_equal(P, reduce_points(P))
+
+    def test_against_lp_oracle(self):
+        rng = random.Random(12)
+        for dim in (1, 2, 3, 4):
+            for _ in range(40):
+                pts = random_points(rng, dim)
+                P = NewtonPolyhedron(dim, tuple(pts))
+                verts = vertices_lp(pts)
+                assert vertices(P) == verts, pts
+                assert np_equal(P, NewtonPolyhedron(dim, tuple(verts)))
+                other = random_points(rng, dim)
+                assert np_equal(P, NewtonPolyhedron(dim, tuple(other))) == (
+                    all(member_lp(other, p) for p in pts)
+                    and all(member_lp(pts, q) for q in other)), (pts, other)
 
 
 class TestMinkSum:
@@ -122,7 +158,7 @@ class TestIntegralClosure:
             k = rng.randint(1, 4)
             I = minimalize([(rng.randint(0, 4), rng.randint(0, 4))
                             for _ in range(k)], 2)
-            assert integral_closure(I) == brute_closure(I)
+            assert integral_closure(I) == closure_lp(I)
 
     def test_against_lp_oracle_3d(self):
         rng = random.Random(8)
@@ -130,7 +166,7 @@ class TestIntegralClosure:
             k = rng.randint(1, 4)
             I = minimalize([tuple(rng.randint(0, 3) for _ in range(3))
                             for _ in range(k)], 3)
-            assert integral_closure(I) == brute_closure(I)
+            assert integral_closure(I) == closure_lp(I)
 
 
 class TestIsIntegrallyClosed:
