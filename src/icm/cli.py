@@ -68,7 +68,7 @@ def _parse_budget(text):
 
 
 def _require_closed(I, name="ideal"):
-    if integral_closure(I) != I:
+    if not is_integrally_closed(I):
         raise ValueError(f"{name} must be integrally closed")
 
 
@@ -192,8 +192,15 @@ def _cmd_props(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValueError, so main reports them as JSON."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="icm",
         description="Exact arithmetic in the monoid of integrally closed "
                     "monomial ideals, and the 2D integral polytope group.")
@@ -254,9 +261,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.budget = _parse_budget(args.budget)
         raw_input_args = {k: v for k, v in vars(args).items()
                           if k not in ("fn", "canonical", "command")}

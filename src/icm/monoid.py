@@ -10,6 +10,7 @@ returning a wrong negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import BudgetExceededError, NotStarMultipleError
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
@@ -126,9 +127,6 @@ def divides(I, J, budget=DEFAULT_BUDGET):
     return K if star(I, K) == J else None
 
 
-_irreducible_cache = {}
-
-
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """No pair of non-unit closed ideals star-multiplies to I.
 
@@ -138,31 +136,8 @@ def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
     o = ord_valuation(I)
-    if o == 1:
-        return True
-    if I in _irreducible_cache:
-        return _irreducible_cache[I]
-    budget = _as_budget(budget)
-    result = True
-    for J, K in _divisor_pairs(I, budget, 1, o - 1):
-        result = False
-        break
-    _irreducible_cache[I] = result
-    return result
-
-
-_atom_divisor_cache = {}
-
-
-def _atom_divisors(I, budget):
-    """All (atom A, cofactor K) with star(A, K) == I, A possibly I itself."""
-    if I in _atom_divisor_cache:
-        return _atom_divisor_cache[I]
-    o = ord_valuation(I)
-    pairs = [(J, K) for J, K in _divisor_pairs(I, budget, 1, o)
-             if is_star_irreducible(J, budget)]
-    _atom_divisor_cache[I] = pairs
-    return pairs
+    return o == 1 or next(_divisor_pairs(I, _as_budget(budget), 1, o - 1),
+                          None) is None
 
 
 @dataclass(frozen=True)
@@ -204,11 +179,24 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
     budget = _as_budget(budget)
     results = set()
 
+    # Memos live for this call only, so the outcome under a given budget
+    # does not depend on what earlier calls searched.
+    @cache
+    def irreducible(J):
+        return is_star_irreducible(J, budget)
+
+    @cache
+    def atom_divisors(current):
+        """All (atom A, cofactor K) with star(A, K) == current."""
+        return [(J, K) for J, K in _divisor_pairs(
+                    current, budget, 1, ord_valuation(current))
+                if irreducible(J)]
+
     def rec(current, chosen, min_key):
         if current.is_unit:
             results.add(tuple(chosen))
             return
-        for A, K in _atom_divisors(current, budget):
+        for A, K in atom_divisors(current):
             if A.gens >= min_key:
                 rec(K, chosen + [A], A.gens)
 

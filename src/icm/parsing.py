@@ -95,23 +95,27 @@ def render_ideal(I):
 
 
 def parse_points(text, dim=None):
-    """Semicolon-separated integer points, e.g. '2,0; 0,3'."""
+    """Semicolon-separated integer points, e.g. '2,0; 0,3'.  Error
+    positions are the offset of the offending point in `text`."""
     points = []
+    offset = 0
     for chunk in text.split(";"):
+        start = offset + len(chunk) - len(chunk.lstrip())
+        offset += len(chunk) + 1
         chunk = chunk.strip()
         if not chunk:
-            raise IdealParseError("empty point", text.find(chunk))
+            raise IdealParseError("empty point", start)
         try:
             p = tuple(int(v) for v in chunk.split(","))
         except ValueError as ex:
-            raise IdealParseError(f"bad point {chunk!r}: {ex}", 0) from None
+            raise IdealParseError(f"bad point {chunk!r}: {ex}",
+                                  start) from None
+        if points and len(p) != len(points[0]):
+            raise IdealParseError("points of mixed dimension", start)
+        if dim is not None and len(p) != dim:
+            raise IdealParseError(
+                f"points have dimension {len(p)}, expected {dim}", start)
         points.append(p)
-    lengths = {len(p) for p in points}
-    if len(lengths) != 1:
-        raise IdealParseError("points of mixed dimension", 0)
-    if dim is not None and lengths != {dim}:
-        raise IdealParseError(
-            f"points have dimension {lengths.pop()}, expected {dim}", 0)
     return points
 
 

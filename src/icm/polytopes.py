@@ -18,7 +18,7 @@ from .feasibility import convex_combination_exists
 from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
                      translate, unit_ideal)
 from .monoid import star
-from .newton import integral_closure
+from .newton import integral_closure, is_integrally_closed
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,7 @@ def _hull_2d(points):
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    cycle = lower[:-1] + upper[:-1]
-    if len(cycle) == 2 and cycle[0] == cycle[1]:  # degenerate segment
-        return [min(pts), max(pts)]
-    return cycle
+    return lower[:-1] + upper[:-1]
 
 
 def hull(points, dim):
@@ -232,12 +229,6 @@ def edge_vector_counts(P):
     counts = {}
     if len(cyc) == 1:
         return counts
-    if len(cyc) == 2:
-        w = tuple(a - b for a, b in zip(cyc[1], cyc[0]))
-        u, length = _primitive(w)
-        counts[u] = length
-        counts[(-u[0], -u[1])] = length
-        return counts
     for p, q in zip(cyc, cyc[1:] + cyc[:1]):
         w = (q[0] - p[0], q[1] - p[1])
         u, length = _primitive(w)
@@ -253,7 +244,7 @@ def _triangle_axis_edges(v):
     return {(1, 0): -a, (0, -1): b}
 
 
-def decompose_2d(e, _verify=True):
+def decompose_2d(e):
     """Integer coefficients over the segment/triangle basis.
 
     Every non-axis direction pair is covered by exactly one segment and one
@@ -295,7 +286,7 @@ def decompose_2d(e, _verify=True):
     if axis_residual[(0, 1)]:
         coeffs[BasisElement("segment", (0, 1))] = axis_residual[(0, 1)]
 
-    if _verify and not _reconstructs(e, coeffs):
+    if not _reconstructs(e, coeffs):
         raise AssertionError("basis decomposition failed its reconstruction check")
     return coeffs
 
@@ -361,7 +352,7 @@ def phi(P):
     translating P into the nonnegative orthant."""
     Pn = normalize_polytope(P)
     generated = minimalize(Pn.verts, P.dim)
-    return ideal_class(integral_closure(generated))
+    return ideal_class(generated)
 
 
 def phi_group(e):
@@ -419,7 +410,7 @@ def colon_factorization_2d(I):
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
-    if integral_closure(I) != I:
+    if not is_integrally_closed(I):
         raise ValueError("input must be integrally closed")
     zero = (0, 0)
     if I.is_unit:

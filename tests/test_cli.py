@@ -135,6 +135,16 @@ class TestExitCodes:
         code, out = run(capsys, "verify", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "abc", "ord", "x"],
+        ["frobnicate", "x"],
+        ["star", "x"],
+    ], ids=["bad-dim", "unknown-command", "missing-argument"])
+    def test_argument_error_is_json(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert set(out) == {"error"}
+
 
 class TestDeterminism:
     def test_sorted_generator_lists(self, capsys):

@@ -151,3 +151,27 @@ class TestAllFactorizations:
             for a in fz:
                 prod = star(prod, a)
             assert prod == I
+
+
+class TestBudgetIgnoresHistory:
+    """A budgeted search gives the same answer or error, and spends the
+    same budget, whatever ran earlier in the process."""
+
+    @staticmethod
+    def outcome(fn, I, limit):
+        budget = SearchBudget(limit)
+        try:
+            result = fn(I, budget=budget)
+        except BudgetExceededError:
+            result = BudgetExceededError
+        return result, budget.examined
+
+    @pytest.mark.parametrize("fn, I, limit", [
+        (is_star_irreducible, M2SQ, 1),
+        (all_factorizations, ideal((3, 0), (1, 1), (0, 3)), 2),
+    ], ids=["is_star_irreducible", "all_factorizations"])
+    def test_same_before_and_after_unbudgeted_call(self, fn, I, limit):
+        before = self.outcome(fn, I, limit)
+        fn(I, budget=None)
+        after = self.outcome(fn, I, limit)
+        assert before == after == (BudgetExceededError, limit + 1)

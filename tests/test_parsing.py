@@ -77,8 +77,19 @@ class TestPoints:
         assert parse_points("-1,2") == [(-1, 2)]
 
     def test_mixed_dimension_rejected(self):
-        with pytest.raises(IdealParseError):
+        with pytest.raises(IdealParseError) as info:
             parse_points("1,2; 1,2,3")
+        assert info.value.position == 5
+
+    @pytest.mark.parametrize("text, dim, position", [
+        ("1,0; 0,x", None, 5),
+        ("1,0;;0,1", 2, 4),
+        ("1,2; 3,4,5", 2, 5),
+    ])
+    def test_error_position(self, text, dim, position):
+        with pytest.raises(IdealParseError) as info:
+            parse_points(text, dim=dim)
+        assert info.value.position == position
 
 
 class TestDocuments:
