@@ -14,19 +14,15 @@ import sys
 
 from .errors import (BudgetExceededError, DimensionMismatchError,
                      IdealParseError, NotStarMultipleError)
-from .ideals import colon, minimalize, ord_valuation
+from .ideals import colon, ord_valuation
 from .monoid import (DEFAULT_BUDGET, all_factorizations, divides, factor_atoms,
                      is_star_irreducible, star)
 from .newton import integral_closure, is_integrally_closed
 from .parsing import (ideal_from_document, ideal_to_document, parse_ideal,
-                      parse_points, render_ideal)
+                      parse_points)
 from .polytopes import (colon_factorization_2d, decompose_2d, group_element,
                         hull, phi)
 from .properties import run_suites
-
-COMMANDS = ["closure", "closed?", "star", "ord", "colon", "factor",
-            "factorizations", "irreducible?", "divides", "decompose2d",
-            "phi", "colon-factor", "verify", "props"]
 
 
 def _jsonable(value):
@@ -65,6 +61,17 @@ def _parse_budget(text):
     if budget < 0:
         raise ValueError(f"budget must be a non-negative integer, got {text!r}")
     return budget
+
+
+def _int_at_least(low):
+    """An argparse type: an integer >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
 
 
 def _require_closed(I, name="ideal"):
@@ -204,7 +211,7 @@ def build_parser():
         prog="icm",
         description="Exact arithmetic in the monoid of integrally closed "
                     "monomial ideals, and the 2D integral polytope group.")
-    parser.add_argument("--dim", type=int, default=None,
+    parser.add_argument("--dim", type=_int_at_least(1), default=None,
                         help="ambient dimension (default: inferred)")
     parser.add_argument("--budget", default=None,
                         help="search budget for factorization commands "
@@ -254,7 +261,7 @@ def build_parser():
     p = sub.add_parser("props")
     p.add_argument("suites", nargs="*", help="suite names (default: all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_int_at_least(0), default=200)
     p.set_defaults(fn=_cmd_props, canonical="props")
 
     return parser

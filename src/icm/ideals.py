@@ -13,8 +13,6 @@ from itertools import product as iter_product
 
 from .errors import DimensionMismatchError
 
-Exponent = tuple
-
 
 def dominates(a, b):
     """True iff a >= b componentwise."""
@@ -54,13 +52,17 @@ class MonomialIdeal:
 
 
 def minimalize(points, dim):
-    """Ideal generated by the given exponent vectors: keep the <=-minimal ones."""
-    pts = set(map(tuple, points))
+    """Ideal generated by the given exponent vectors: keep the <=-minimal ones.
+
+    Points are swept by total degree.  A point strictly above another has a
+    larger degree, so every minimal point below it was already kept.
+    """
+    pts = sorted(set(map(tuple, points)), key=sum)
     if not pts:
         raise ValueError("cannot build an ideal from an empty point set")
     minimal = []
     for p in pts:
-        if not any(q != p and dominates(p, q) for q in pts):
+        if not any(dominates(p, q) for q in minimal):
             minimal.append(p)
     return MonomialIdeal(dim, tuple(sorted(minimal)))
 

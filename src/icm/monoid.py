@@ -67,12 +67,9 @@ def closed_supersets(I, budget=None):
     is enumerated by its antichain of maximal elements.
     """
     budget = _as_budget(budget)
-    box = generator_box(I)
-    pts = list(box_points(box))
-    complement = sorted((p for p in pts if not contains(I, p)),
+    all_pts = set(box_points(generator_box(I)))
+    complement = sorted((p for p in all_pts if not contains(I, p)),
                         key=lambda p: (sum(p), p))
-    all_pts = set(pts)
-    dim = I.dim
 
     def incomparable(a, b):
         return not dominates(a, b) and not dominates(b, a)
@@ -80,18 +77,7 @@ def closed_supersets(I, budget=None):
     def emit(excluded_antichain):
         down = {p for p in complement
                 if any(dominates(a, p) for a in excluded_antichain)}
-        up = all_pts - down
-        # minimal elements of an up-set: no immediate predecessor inside
-        mins = []
-        for u in up:
-            for k in range(dim):
-                if u[k] > 0:
-                    pred = u[:k] + (u[k] - 1,) + u[k + 1:]
-                    if pred in up:
-                        break
-            else:
-                mins.append(u)
-        return MonomialIdeal(dim, tuple(sorted(mins)))
+        return minimalize(all_pts - down, I.dim)
 
     def rec(start, chosen):
         budget.spend()

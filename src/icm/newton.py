@@ -59,11 +59,11 @@ def reduce_points(P):
 
 
 def mink_sum(P, Q):
-    """Minkowski sum, supported by all pairwise point sums."""
+    """Minkowski sum, supported by the minimal pairwise point sums."""
     if P.dim != Q.dim:
         raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
     sums = {tuple(a + b for a, b in zip(p, q)) for p in P.points for q in Q.points}
-    return NewtonPolyhedron(P.dim, tuple(sorted(sums)))
+    return NewtonPolyhedron(P.dim, minimalize(sums, P.dim).gens)
 
 
 def np_equal(P, Q):
@@ -143,21 +143,23 @@ def _facet_member(points, dim, q):
     return True
 
 
-def integral_closure(I):
-    """Closure of a monomial ideal: minimal lattice points of NP(I).
+def _closure_gaps(I):
+    """Box points outside I that lie in NP(I).
 
     Minimal generators of the closure lie in the box bounded by the
     componentwise maxima of the generators, so only that box is searched.
     """
-    box = generator_box(I)
-    added = [p for p in box_points(box)
-             if not contains(I, p) and _facet_member(I.gens, I.dim, p)]
+    return (p for p in box_points(generator_box(I))
+            if not contains(I, p) and _facet_member(I.gens, I.dim, p))
+
+
+def integral_closure(I):
+    """Closure of a monomial ideal: minimal lattice points of NP(I)."""
+    added = list(_closure_gaps(I))
     if not added:
         return I
-    return minimalize(set(I.gens) | set(added), I.dim)
+    return minimalize(I.gens + tuple(added), I.dim)
 
 
 def is_integrally_closed(I):
-    box = generator_box(I)
-    return not any(not contains(I, p) and _facet_member(I.gens, I.dim, p)
-                   for p in box_points(box))
+    return next(_closure_gaps(I), None) is None

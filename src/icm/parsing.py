@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .errors import IdealParseError
-from .ideals import MonomialIdeal, minimalize
+from .ideals import minimalize
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"

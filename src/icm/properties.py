@@ -10,14 +10,12 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from .ideals import (MonomialIdeal, minimalize, ord_valuation, unit_ideal)
+from .ideals import minimalize, ord_valuation, unit_ideal
 from .monoid import is_star_irreducible, quotient_cancel, star, star_power
-from .newton import (integral_closure, is_integrally_closed, mink_sum,
-                     np_equal, np_of)
+from .newton import integral_closure, mink_sum, np_equal, np_of
 from .polytopes import (class_equal, class_equal_ideal, decompose_2d,
                         group_add, group_element, hull, ideal_class,
-                        ideal_to_polytope, p_mink_sum, phi, phi_group,
-                        point_polytope, shadow)
+                        ideal_to_polytope, p_mink_sum, phi, phi_group, shadow)
 
 
 def random_ideal(rng, dim=None, max_exp=3, max_gens=4):
@@ -242,6 +240,9 @@ ALL_SUITES = {**MONOID_SUITES, **POLYTOPE_SUITES}
 
 def run_suites(seed=0, cases=200, polytope_cases=100, names=None):
     """Run the named suites (all by default); returns a report dict."""
+    unknown = sorted(set(names or ()) - set(ALL_SUITES))
+    if unknown:
+        raise ValueError(f"unknown suite name(s): {', '.join(unknown)}")
     report = {}
     for name, fn in ALL_SUITES.items():
         if names is not None and name not in names:

@@ -1,15 +1,25 @@
 """Slow, independent reference routes that the tests check the library against.
 
 The library answers Newton-polyhedron questions from a half-space
-description and divisibility by cancellation; these oracles answer the same
-questions by rational LP feasibility and by exhaustive search instead.
+description, divisibility by cancellation and minimal generators by a sweep
+in degree order; these oracles answer the same questions by rational LP
+feasibility, by exhaustive search and by comparing all pairs instead.
 """
 
 from itertools import product as iproduct
 
 from icm.feasibility import feasible_nonneg
-from icm.ideals import minimalize
+from icm.ideals import MonomialIdeal
 from icm.monoid import closed_supersets, star
+
+
+def minimal_by_pairs(points, dim):
+    """Ideal of the <=-minimal points, each point checked against all others."""
+    pts = set(map(tuple, points))
+    minimal = [p for p in pts
+               if not any(q != p and all(a >= b for a, b in zip(p, q))
+                          for q in pts)]
+    return MonomialIdeal(dim, tuple(sorted(minimal)))
 
 
 def member_lp(points, q):
@@ -41,7 +51,7 @@ def closure_lp(I):
     box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
     pts = [p for p in iproduct(*(range(b + 1) for b in box))
            if member_lp(I.gens, p)]
-    return minimalize(pts, I.dim)
+    return minimal_by_pairs(pts, I.dim)
 
 
 def divides_by_search(I, J):

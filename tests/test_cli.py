@@ -3,6 +3,7 @@ import json
 import pytest
 
 from icm.cli import main
+from icm.properties import run_suites
 
 
 def run(capsys, *argv):
@@ -144,6 +145,21 @@ class TestExitCodes:
         code, out = run(capsys, *argv)
         assert code == 2
         assert set(out) == {"error"}
+
+    @pytest.mark.parametrize("argv", [
+        ["props", "nonsense"],
+        ["props", "--cases", "-3", "cancellation"],
+        ["--dim", "0", "closure", "1"],
+        ["--dim", "-1", "closure", "1"],
+    ], ids=["unknown-suite", "negative-cases", "dim-zero", "dim-negative"])
+    def test_bad_argument_value_is_json(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert set(out) == {"error"}
+
+    def test_run_suites_rejects_unknown_name(self):
+        with pytest.raises(ValueError, match="nonsense"):
+            run_suites(names=["closure_laws", "nonsense"])
 
 
 class TestDeterminism:

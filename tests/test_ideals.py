@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from icm.errors import DimensionMismatchError
@@ -5,6 +7,7 @@ from icm.ideals import (MonomialIdeal, colon, contains, generator_box,
                         intersection, minimalize, normalize_translation,
                         ord_valuation, principal_ideal, product, translate,
                         unit_ideal)
+from oracles import minimal_by_pairs
 
 
 def ideal(*gens):
@@ -48,6 +51,14 @@ class TestMinimalize:
         pts = {(2, 1), (1, 1), (3, 0), (0, 4)}
         once = minimalize(pts, 2)
         assert minimalize(once.gens, 2) == once
+
+    def test_against_pairwise_oracle(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            dim = rng.randint(1, 4)
+            pts = [tuple(rng.randint(0, 4) for _ in range(dim))
+                   for _ in range(rng.randint(1, 40))]
+            assert minimalize(pts, dim) == minimal_by_pairs(pts, dim), pts
 
 
 class TestProduct:

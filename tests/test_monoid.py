@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 
 from icm.errors import BudgetExceededError, NotStarMultipleError
@@ -7,7 +9,7 @@ from icm.monoid import (SearchBudget, all_factorizations, closed_supersets,
                         divides, factor_atoms, is_star_irreducible,
                         quotient_cancel, star, star_power)
 from icm.newton import is_integrally_closed
-from oracles import divides_by_search
+from oracles import closure_lp, divides_by_search
 
 
 def ideal(*gens):
@@ -175,3 +177,44 @@ class TestBudgetIgnoresHistory:
         fn(I, budget=None)
         after = self.outcome(fn, I, limit)
         assert before == after == (BudgetExceededError, limit + 1)
+
+
+class TestClosedSupersets:
+    @staticmethod
+    def brute_force(I):
+        """Every antichain in I's box whose ideal contains I and is closed,
+        closedness judged by the LP closure."""
+        box = [max(g[k] for g in I.gens) for k in range(I.dim)]
+        pts = list(iproduct(*(range(b + 1) for b in box)))
+
+        def below(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        def antichains(start, chosen):
+            if chosen:
+                yield chosen
+            for i in range(start, len(pts)):
+                p = pts[i]
+                if not any(below(p, c) or below(c, p) for c in chosen):
+                    yield from antichains(i + 1, chosen + [p])
+
+        found = []
+        for gens in antichains(0, []):
+            J = MonomialIdeal(I.dim, tuple(sorted(gens)))
+            if (all(any(below(h, g) for h in J.gens) for g in I.gens)
+                    and closure_lp(J) == J):
+                found.append(J)
+        return sorted(found, key=lambda J: J.gens)
+
+    @pytest.mark.parametrize("gens", [
+        [(3, 0), (1, 1), (0, 2)],
+        [(5, 0), (0, 4)],
+        [(3, 3)],
+        [(2, 0, 0), (0, 2, 0), (0, 0, 2)],
+        [(2, 0, 0), (1, 1, 0), (0, 0, 2)],
+        [(2, 1, 1)],
+    ], ids=["x3,xy,y2", "x5,y4", "x3y3", "x2,y2,z2", "x2,xy,z2", "x2yz"])
+    def test_against_brute_force(self, gens):
+        I = ideal(*gens)
+        found = list(closed_supersets(I, budget=None))
+        assert sorted(found, key=lambda J: J.gens) == self.brute_force(I)

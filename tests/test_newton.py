@@ -126,11 +126,21 @@ class TestMinkSum:
     def test_derived_example(self):
         S = mink_sum(np_of(ideal((2, 0), (0, 1))), np_of(ideal((1, 0), (0, 1))))
         assert vertices(S) == {(3, 0), (1, 1), (0, 2)}
+        assert S.points == ((0, 2), (1, 1), (3, 0))  # (2, 1) is dominated
 
     def test_np_homomorphism(self):
         I = ideal((2, 0), (0, 1))
         J = ideal((1, 1), (3, 0))
         assert np_equal(np_of(product(I, J)), mink_sum(np_of(I), np_of(J)))
+
+    def test_points_are_product_generators(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            I = minimalize(random_points(rng, dim), dim)
+            J = minimalize(random_points(rng, dim), dim)
+            assert (mink_sum(np_of(I), np_of(J)).points
+                    == product(I, J).gens), (I, J)
 
 
 class TestIntegralClosure:
@@ -151,6 +161,12 @@ class TestIntegralClosure:
         C = integral_closure(I)
         assert all(contains(C, g) for g in I.gens)
         assert integral_closure(C) == C
+
+    def test_cube_corners(self):
+        I = ideal((25, 0, 0), (0, 25, 0), (0, 0, 25))
+        gens = integral_closure(I).gens
+        assert len(gens) == 351
+        assert all(sum(g) == 25 for g in gens)
 
     def test_against_lp_oracle_2d(self):
         rng = random.Random(7)
