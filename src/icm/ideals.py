@@ -35,13 +35,15 @@ class MonomialIdeal:
                     f"generator {g} has length {len(g)}, expected {self.dim}")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
-        for g in self.gens:
-            for h in self.gens:
-                if g != h and dominates(g, h):
+        if any(g >= h for g, h in zip(self.gens, self.gens[1:])):
+            raise ValueError("generators must be stored sorted, without repeats")
+        # Of two distinct generators, the one dominating has the larger degree.
+        degrees = [sum(g) for g in self.gens]
+        for g, dg in zip(self.gens, degrees):
+            for h, dh in zip(self.gens, degrees):
+                if dh < dg and dominates(g, h):
                     raise ValueError(
                         f"generators are not an antichain: {g} dominates {h}")
-        if tuple(sorted(self.gens)) != self.gens:
-            raise ValueError("generators must be stored sorted")
 
     @property
     def is_unit(self):

@@ -14,7 +14,8 @@ from functools import cache
 
 from .errors import BudgetExceededError, NotStarMultipleError
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
-                     generator_box, minimalize, ord_valuation, product)
+                     generator_box, minimalize, ord_valuation, product,
+                     unit_ideal)
 from .newton import integral_closure, is_integrally_closed
 
 DEFAULT_BUDGET = 500_000
@@ -45,7 +46,7 @@ def star(I, J):
 
 
 def star_power(I, n):
-    result = MonomialIdeal(I.dim, ((0,) * I.dim,))
+    result = unit_ideal(I.dim)
     for _ in range(n):
         result = star(result, I)
     return result
@@ -71,35 +72,35 @@ def closed_supersets(I, budget=None):
     complement = sorted((p for p in all_pts if not contains(I, p)),
                         key=lambda p: (sum(p), p))
 
-    def incomparable(a, b):
-        return not dominates(a, b) and not dominates(b, a)
-
-    def emit(excluded_antichain):
-        down = {p for p in complement
-                if any(dominates(a, p) for a in excluded_antichain)}
-        return minimalize(all_pts - down, I.dim)
-
-    def rec(start, chosen):
+    def rec(start, chosen, down):
         budget.spend()
-        J = emit(chosen)
+        J = minimalize(all_pts - down, I.dim)
         if is_integrally_closed(J):
             yield J
         for i in range(start, len(complement)):
             p = complement[i]
-            if all(incomparable(p, c) for c in chosen):
-                yield from rec(i + 1, chosen + [p])
+            # p follows each chosen c in (degree, p) order, so p <= c fails
+            if not any(dominates(p, c) for c in chosen):
+                yield from rec(i + 1, chosen + [p], down | {
+                    q for q in complement if dominates(p, q)})
 
-    yield from rec(0, [])
+    yield from rec(0, [], set())
 
 
 def _divisor_pairs(I, budget, ord_lo, ord_hi):
     """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi."""
     for J in closed_supersets(I, budget):
-        if not ord_lo <= ord_valuation(J) <= ord_hi:
-            continue
-        K = colon(I, J)
-        if star(J, K) == I:
-            yield J, K
+        if ord_lo <= ord_valuation(J) <= ord_hi:
+            K = divides(J, I)
+            if K is not None:
+                yield J, K
+
+
+def _proper_split(I, budget):
+    """The first (J, K) of _divisor_pairs with J and K not the unit, or
+    None; an ideal of ord 1 has no such split, so no search runs."""
+    o = ord_valuation(I)
+    return next(_divisor_pairs(I, budget, 1, o - 1), None) if o > 1 else None
 
 
 def divides(I, J, budget=DEFAULT_BUDGET):
@@ -121,9 +122,7 @@ def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
-    o = ord_valuation(I)
-    return o == 1 or next(_divisor_pairs(I, _as_budget(budget), 1, o - 1),
-                          None) is None
+    return _proper_split(I, _as_budget(budget)) is None
 
 
 @dataclass(frozen=True)
@@ -138,20 +137,18 @@ class Factorization:
 def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
-    Deterministic: each split takes the valid factor with the
-    lexicographically smallest sorted generator list.
+    Deterministic: each split takes the first proper divisor in
+    closed_supersets' order; ord is additive, so any split ends in atoms.
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     budget = _as_budget(budget)
 
     def rec(current):
-        o = ord_valuation(current)
-        splits = sorted(_divisor_pairs(current, budget, 1, o - 1),
-                        key=lambda jk: jk[0].gens) if o > 1 else []
-        if not splits:
+        split = _proper_split(current, budget)
+        if split is None:
             return [current]  # an atom
-        J, K = splits[0]
+        J, K = split
         return rec(J) + rec(K)
 
     atoms = sorted(rec(I), key=lambda a: a.gens)

@@ -109,8 +109,6 @@ def _facet_inequalities(points, dim):
     directions chosen among differences to other points and coordinate rays;
     every facet arises this way, and extra valid inequalities are harmless.
     """
-    if dim == 1:
-        return (((1,), min(p[0] for p in points)),)
     axes = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
     seen = set()
     facets = []

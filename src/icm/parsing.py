@@ -119,12 +119,21 @@ def parse_points(text, dim=None):
     return points
 
 
+def _document_ints(values):
+    """A JSON list of integers, possibly as decimal strings; a float or a
+    boolean is an error, not truncated."""
+    if not isinstance(values, list) or any(isinstance(v, (bool, float))
+                                           for v in values):
+        raise TypeError(f"expected a list of integers, got {values!r}")
+    return tuple(map(int, values))
+
+
 def ideal_from_document(doc):
     """IdealDocument JSON: {"vars": d, "gens": [[...], ...]} with integer
     entries, possibly as decimal strings."""
     try:
-        dim = int(doc["vars"])
-        gens = [tuple(int(v) for v in g) for g in doc["gens"]]
+        dim = _document_ints([doc["vars"]])[0]
+        gens = [_document_ints(g) for g in doc["gens"]]
     except (KeyError, TypeError, ValueError) as ex:
         raise IdealParseError(f"bad ideal document: {ex}", 0) from None
     if any(v < 0 for g in gens for v in g):

@@ -153,8 +153,6 @@ def group_negate(a):
 
 def class_equal(a, b):
     """Grothendieck equality: pos_a + neg_b is a translate of pos_b + neg_a."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
     left = normalize_polytope(p_mink_sum(a.pos, b.neg))
     right = normalize_polytope(p_mink_sum(b.pos, a.neg))
     return left.verts == right.verts
@@ -340,8 +338,6 @@ def ideal_class(num, den=None):
 def class_equal_ideal(a, b):
     """Equality in the quotient group: cross star-products agree up to a
     monomial factor."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
     left = normalize_translation(star(a.num, b.den))[0]
     right = normalize_translation(star(b.num, a.den))[0]
     return left == right
@@ -413,9 +409,6 @@ def colon_factorization_2d(I):
     if not is_integrally_closed(I):
         raise ValueError("input must be integrally closed")
     zero = (0, 0)
-    if I.is_unit:
-        return ColonFactorization(I, zero, (), zero, ())
-
     coeffs = decompose_2d(group_element(hull(I.gens, 2)))
     num_factors, den_factors = [], []
     for B, c in coeffs.items():

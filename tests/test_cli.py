@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 
@@ -115,6 +117,18 @@ class TestExitCodes:
         assert code == 1
         assert "position" in out
 
+    @pytest.mark.parametrize("doc", [
+        {"vars": 2, "gens": [[1.5, 0], [0, 2]]},
+        {"vars": 2.9, "gens": [[1, 0], [0, 1]]},
+        {"vars": True, "gens": [[1]]},
+    ], ids=["float-exponent", "float-vars", "bool-vars"])
+    def test_non_integer_json_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "--json", "closure", str(path))
+        assert code == 1
+        assert "position" in out
+
     def test_non_integer_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ICM_BUDGET", "abc")
         code, out = run(capsys, "closure", "x")
@@ -179,3 +193,113 @@ class TestDeterminism:
             return not isinstance(v, (int, float)) or isinstance(v, bool)
 
         assert only_strings(out["result"])
+
+
+class TestFuzz:
+    """Seeded random command lines built from the README examples: each
+    must print exactly one JSON object and exit with a documented code."""
+
+    README = [
+        ["closure", "x^2,y^2"],
+        ["closed?", "x^2,x*y,y^2"],
+        ["star", "x,y", "x,y"],
+        ["ord", "x^3,y^3,z^3,x*y,x*z,y*z"],
+        ["colon", "x^2,x*y,y^2", "x,y"],
+        ["factor", "x^2,x*y,y^2"],
+        ["factorizations", "x^2,x*y,y^2"],
+        ["irreducible?", "x,y"],
+        ["divides", "x,y", "x^2,x*y,y^2"],
+        ["decompose2d", "0,0; 1,0; 0,1"],
+        ["phi", "2,0; 0,3"],
+        ["colon-factor", "x^2,x*y^2,y^3"],
+    ]
+    IDEAL_COMMANDS = {"closure", "closed?", "star", "ord", "colon", "factor",
+                      "factorizations", "irreducible?", "divides",
+                      "colon-factor"}
+    NON_DIGITS = "xyzw^*,; -+()."
+
+    @classmethod
+    def mutate(cls, rng, text):
+        """Insert or delete non-digit characters.  A mutation that would
+        join two digits is skipped, so no number grows past one digit."""
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                i = rng.randint(0, len(text))
+                candidate = text[:i] + rng.choice(cls.NON_DIGITS) + text[i:]
+            else:
+                spots = [i for i, ch in enumerate(text) if not ch.isdigit()]
+                if not spots:
+                    continue
+                i = rng.choice(spots)
+                candidate = text[:i] + text[i + 1:]
+            if not re.search(r"\d\d", candidate):
+                text = candidate
+        return text
+
+    @classmethod
+    def random_value(cls, rng, depth=0):
+        kinds = ["int", "str", "float", "bool", "null"]
+        kind = rng.choice(kinds + (["list", "dict"] if depth < 2 else []))
+        if kind == "int":
+            return rng.randint(-1, 4)
+        if kind == "str":
+            return rng.choice([str(rng.randint(0, 4)), "x", "", " 2", "1.0"])
+        if kind == "float":
+            return rng.choice([1.5, 2.0, -0.5])
+        if kind == "bool":
+            return rng.random() < 0.5
+        if kind == "null":
+            return None
+        if kind == "list":
+            return [cls.random_value(rng, depth + 1)
+                    for _ in range(rng.randint(0, 3))]
+        return {"vars": cls.random_value(rng, depth + 1)}
+
+    @classmethod
+    def random_document(cls, rng):
+        """IdealDocument text: mostly well-shaped with odd entries, sometimes
+        missing keys, another JSON type or not JSON at all."""
+        shape = rng.random()
+        if shape < 0.05:
+            return '{"vars": 2, "gens": [[1, 0]'
+        if shape < 0.15:
+            return json.dumps(cls.random_value(rng))
+        dim = rng.randint(1, 3)
+        doc = {"vars": dim if rng.random() < 0.7 else cls.random_value(rng),
+               "gens": [[rng.randint(0, 4) if rng.random() < 0.8
+                         else cls.random_value(rng, 1)
+                         for _ in range(dim + (rng.random() < 0.1))]
+                        for _ in range(rng.randint(0, 3))]}
+        if rng.random() < 0.1:
+            del doc[rng.choice(["vars", "gens"])]
+        return json.dumps(doc)
+
+    def random_argv(self, rng, tmp_path, case):
+        argv = ["--budget", "200"]
+        if rng.random() < 0.2:
+            argv += ["--dim", rng.choice(["1", "2", "3", "4", "0", "x"])]
+        if rng.random() < 0.1:
+            return argv + ["props", "--seed", str(rng.randint(0, 9)),
+                           "--cases", str(rng.randint(0, 2))] + rng.sample(
+                               ["closure_laws", "cancellation", "nope"],
+                               rng.randint(0, 1))
+        command, *texts = rng.choice(self.README)
+        if command in self.IDEAL_COMMANDS and rng.random() < 0.3:
+            argv.append("--json")
+            paths = []
+            for k in range(len(texts)):
+                path = tmp_path / f"doc{case}_{k}.json"
+                path.write_text(self.random_document(rng))
+                paths.append(str(path))
+            return argv + [command] + paths
+        return argv + [command] + [self.mutate(rng, t) for t in texts]
+
+    def test_random_inputs_give_one_json_object(self, capsys, tmp_path):
+        rng = random.Random(2024)
+        for case in range(300):
+            argv = self.random_argv(rng, tmp_path, case)
+            code = main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1, argv
+            assert isinstance(json.loads(lines[0]), dict), argv
+            assert code in {0, 1, 2, 3}, argv

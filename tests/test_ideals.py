@@ -24,6 +24,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((1, 1), (2, 1)))
 
+    def test_rejects_repeated_generators(self):
+        with pytest.raises(ValueError):
+            MonomialIdeal(2, ((1, 0), (1, 0)))
+
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             MonomialIdeal(2, ((-1, 0),))

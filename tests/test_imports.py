@@ -1,7 +1,8 @@
-"""Every module under src/icm uses each name it imports.
+"""Every module under src/icm uses each name it imports, and every private
+top-level name defined under src/icm is used somewhere in src/icm.
 
-Package `__init__.py` files are exempt (their imports are re-exports), and
-so are `from __future__` imports.
+Package `__init__.py` files are exempt from the import check (their imports
+are re-exports), and so are `from __future__` imports.
 """
 
 import ast
@@ -37,3 +38,50 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def orphaned_private_names(sources):
+    """Top-level `_name`s (dunders aside) that no code outside their own
+    definition refers to, across all the given module sources."""
+    bodies = [ast.parse(source).body for source in sources]
+    defined = {name: stmt for body in bodies for stmt in body
+               for name in _defined_names(stmt)
+               if name.startswith("_") and not name.startswith("__")}
+    referenced = set()
+    for stmt in (stmt for body in bodies for stmt in body):
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if defined.get(name) is not stmt:
+                referenced.add(name)
+    return sorted(set(defined) - referenced)
+
+
+def test_detects_an_orphaned_private_name():
+    helpers = ("_LIMIT = 3\n_UNUSED = 4\n"
+               "def _used(n):\n    return n < _LIMIT\n"
+               "def _recursive(n):\n    return _recursive(n - 1)\n"
+               "class _Orphan:\n    pass\n")
+    user = "from helpers import _used\nprint(_used(2))\n"
+    assert orphaned_private_names([helpers, user]) == [
+        "_Orphan", "_UNUSED", "_recursive"]
+
+
+def test_no_orphaned_private_names():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))]
+    assert orphaned_private_names(sources) == []

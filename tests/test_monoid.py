@@ -179,32 +179,43 @@ class TestBudgetIgnoresHistory:
         assert before == after == (BudgetExceededError, limit + 1)
 
 
+def below(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def antichains(pts, start=0, chosen=()):
+    """Every antichain of the points, the empty one included."""
+    yield chosen
+    for i in range(start, len(pts)):
+        p = pts[i]
+        if not any(below(p, c) or below(c, p) for c in chosen):
+            yield from antichains(pts, i + 1, chosen + (p,))
+
+
 class TestClosedSupersets:
     @staticmethod
-    def brute_force(I):
+    def box(I):
+        return list(iproduct(*(range(max(g[k] for g in I.gens) + 1)
+                               for k in range(I.dim))))
+
+    def brute_force(self, I):
         """Every antichain in I's box whose ideal contains I and is closed,
         closedness judged by the LP closure."""
-        box = [max(g[k] for g in I.gens) for k in range(I.dim)]
-        pts = list(iproduct(*(range(b + 1) for b in box)))
-
-        def below(a, b):
-            return all(x <= y for x, y in zip(a, b))
-
-        def antichains(start, chosen):
-            if chosen:
-                yield chosen
-            for i in range(start, len(pts)):
-                p = pts[i]
-                if not any(below(p, c) or below(c, p) for c in chosen):
-                    yield from antichains(i + 1, chosen + [p])
-
         found = []
-        for gens in antichains(0, []):
+        for gens in antichains(self.box(I)):
+            if not gens:
+                continue
             J = MonomialIdeal(I.dim, tuple(sorted(gens)))
             if (all(any(below(h, g) for h in J.gens) for g in I.gens)
                     and closure_lp(J) == J):
                 found.append(J)
         return sorted(found, key=lambda J: J.gens)
+
+    def antichain_count(self, I):
+        """Antichains of the box points outside I, the empty one included."""
+        outside = [p for p in self.box(I)
+                   if not any(below(g, p) for g in I.gens)]
+        return sum(1 for _ in antichains(outside))
 
     @pytest.mark.parametrize("gens", [
         [(3, 0), (1, 1), (0, 2)],
@@ -216,5 +227,7 @@ class TestClosedSupersets:
     ], ids=["x3,xy,y2", "x5,y4", "x3y3", "x2,y2,z2", "x2,xy,z2", "x2yz"])
     def test_against_brute_force(self, gens):
         I = ideal(*gens)
-        found = list(closed_supersets(I, budget=None))
+        budget = SearchBudget(None)
+        found = list(closed_supersets(I, budget))
         assert sorted(found, key=lambda J: J.gens) == self.brute_force(I)
+        assert budget.examined == self.antichain_count(I)

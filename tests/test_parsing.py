@@ -104,3 +104,17 @@ class TestDocuments:
     def test_negative_rejected(self):
         with pytest.raises(IdealParseError):
             ideal_from_document({"vars": 2, "gens": [[-1, 0]]})
+
+    @pytest.mark.parametrize("doc", [
+        {"vars": 2, "gens": [[1.5, 0], [0, 2]]},
+        {"vars": 2, "gens": [[2.0, 0]]},
+        {"vars": 2.9, "gens": [[1, 0]]},
+        {"vars": True, "gens": [[1]]},
+        {"vars": 2, "gens": [[False, 1]]},
+        {"vars": 2, "gens": ["20"]},
+        {"vars": 2, "gens": "20"},
+    ], ids=["float-exponent", "integral-float", "float-vars", "bool-vars",
+            "bool-exponent", "string-generator", "string-gens"])
+    def test_non_integer_rejected(self, doc):
+        with pytest.raises(IdealParseError):
+            ideal_from_document(doc)
