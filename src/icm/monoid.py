@@ -14,8 +14,8 @@ from functools import cache
 
 from .errors import BudgetExceededError, NotStarMultipleError
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
-                     generator_box, minimalize, ord_valuation, product,
-                     unit_ideal)
+                     generator_box, minimalize, ord_valuation,
+                     principal_ideal, product, translate, unit_ideal)
 from .newton import integral_closure, is_integrally_closed
 
 DEFAULT_BUDGET = 500_000
@@ -97,9 +97,12 @@ def _divisor_pairs(I, budget, ord_lo, ord_hi):
 
 
 def _proper_split(I, budget):
-    """The first (J, K) of _divisor_pairs with J and K not the unit, or
-    None; an ideal of ord 1 has no such split, so no search runs."""
+    """A split (J, K) of I into non-units, or None.  A variable x_i dividing
+    I gives ((x_i), I / x_i) with no search; else the first _divisor_pairs."""
     o = ord_valuation(I)
+    for e in (tuple(int(k == i) for k in range(I.dim)) for i in range(I.dim)):
+        if o > 1 and all(dominates(g, e) for g in I.gens):
+            return principal_ideal(e), translate(I, tuple(-x for x in e))
     return next(_divisor_pairs(I, budget, 1, o - 1), None) if o > 1 else None
 
 
@@ -137,19 +140,16 @@ class Factorization:
 def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
-    Deterministic: each split takes the first proper divisor in
-    closed_supersets' order; ord is additive, so any split ends in atoms.
+    Deterministic: each split is _proper_split's, a variable dividing I or
+    the first proper divisor in closed_supersets' order; ord is additive.
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     budget = _as_budget(budget)
 
     def rec(current):
-        split = _proper_split(current, budget)
-        if split is None:
-            return [current]  # an atom
-        J, K = split
-        return rec(J) + rec(K)
+        split = _proper_split(current, budget)  # None for an atom
+        return [current] if split is None else rec(split[0]) + rec(split[1])
 
     atoms = sorted(rec(I), key=lambda a: a.gens)
     return Factorization(base=I, atoms=tuple(atoms))

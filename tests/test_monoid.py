@@ -137,6 +137,23 @@ class TestFactorAtoms:
         with pytest.raises(ValueError):
             factor_atoms(unit_ideal(2))
 
+    def test_variable_factor_splits_without_search(self):
+        # y * (x, y): y divides every generator, and the cofactor has ord 1
+        I = ideal((1, 1), (0, 2))
+        assert factor_atoms(I, budget=SearchBudget(0)).atoms == (
+            ideal((0, 1)), M2)
+        assert not is_star_irreducible(I, budget=SearchBudget(0))
+
+    def test_variable_factor_leaves_one_search(self):
+        # y * A for an atom A: only the proof that A is an atom searches
+        A = ideal((0, 4), (2, 3), (3, 2), (4, 1), (5, 0))
+        alone, joint = SearchBudget(None), SearchBudget(None)
+        assert is_star_irreducible(A, budget=alone)
+        f = factor_atoms(ideal(*[(a, b + 1) for a, b in A.gens]),
+                         budget=joint)
+        assert f.atoms == (ideal((0, 1)), A)
+        assert joint.examined == alone.examined > 0
+
 
 class TestAllFactorizations:
     def test_two_variable_uniqueness(self):
