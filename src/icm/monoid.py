@@ -146,12 +146,15 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     budget = _as_budget(budget)
-
-    def rec(current):
+    atoms, pending = [], [I]
+    while pending:
+        current = pending.pop()
         split = _proper_split(current, budget)  # None for an atom
-        return [current] if split is None else rec(split[0]) + rec(split[1])
-
-    atoms = sorted(rec(I), key=lambda a: a.gens)
+        if split is None:
+            atoms.append(current)
+        else:
+            pending += reversed(split)  # the first factor splits next
+    atoms.sort(key=lambda a: a.gens)
     return Factorization(base=I, atoms=tuple(atoms))
 
 

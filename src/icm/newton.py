@@ -2,8 +2,12 @@
 
 Every question about a polyhedron (membership of rational points, vertices,
 equality, lattice points for integral closure) is answered from one exact,
-cached half-space description with integer normals.  The tests check it
-against an independent rational LP.
+cached half-space description that holds only the facets, with primitive
+integer normals.  2D facets are read off the lower convex chain, and a
+coordinate constant over the points splits off as one facet.  Integral
+closure walks the generator box column by column and reads each column's
+lowest point of NP(I) off the facets.  The tests check the description
+against an independent rational LP and a rank test of each facet.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .ideals import box_points, contains, generator_box, minimalize
+from .ideals import box_points, generator_box, minimalize
 
 
 @dataclass(frozen=True)
@@ -100,37 +104,77 @@ def _orthogonal_vector(vectors, dim):
     return tuple(c)
 
 
+def _chain_facets_2d(points):
+    """Facets of a 2D polyhedron with no constant coordinate, from its
+    sorted points: the two axis facets and one per edge of the lower
+    convex chain.
+
+    The chain runs over the points whose y strictly decreases in x order,
+    from the lowest leftmost point to the leftmost lowest one; collinear
+    points are dropped, so no two edges share a normal.
+    """
+    stair = []
+    for p in points:
+        if not stair or p[1] < stair[-1][1]:
+            stair.append(p)
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chain = []
+    for p in stair:
+        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    facets = [((1, 0), stair[0][0]), ((0, 1), stair[-1][1])]
+    for p, q in zip(chain, chain[1:]):
+        a, b = p[1] - q[1], q[0] - p[0]
+        g = gcd(a, b)
+        facets.append(((a // g, b // g), (a * p[0] + b * p[1]) // g))
+    return tuple(facets)
+
+
 @lru_cache(maxsize=65536)
 def _facet_inequalities(points, dim):
-    """Valid half-spaces c.x >= m (c >= 0 componentwise) whose intersection
-    is exactly conv(points) + R^d_+.
+    """The facets c.x >= m (c >= 0 primitive, m = min of c over the points)
+    of conv(points) + R^d_+.  The polyhedron is full-dimensional, so its
+    facets alone cut it out, and distinct facets have distinct normals.
 
-    Candidates come from every base point together with dim-1 spanning
-    directions chosen among differences to other points and coordinate rays;
-    every facet arises this way, and extra valid inequalities are harmless.
+    A coordinate k that is constant over the points gives the facet
+    x_k >= a, and the other facets are those of the projection without k,
+    lifted with c_k = 0.  2D facets come from the lower convex chain.
+    Otherwise a facet's first tight point, with d-1 independent directions
+    among differences to later points and the coordinate rays, spans it;
+    a candidate normal is kept only when it supports at that base point.
     """
-    axes = [tuple(1 if i == k else 0 for i in range(dim)) for k in range(dim)]
-    seen = set()
-    facets = []
-    for base in points:
-        pool = [tuple(a - b for a, b in zip(p, base)) for p in points if p != base]
+    pts = sorted(set(points))
+    for k in range(dim):
+        if dim > 1 and all(p[k] == pts[0][k] for p in pts):
+            rest = _facet_inequalities(
+                tuple(p[:k] + p[k + 1:] for p in pts), dim - 1)
+            axis = tuple(int(i == k) for i in range(dim))
+            return ((axis, pts[0][k]),) + tuple(
+                (c[:k] + (0,) + c[k:], m) for c, m in rest)
+    if dim == 2:
+        return _chain_facets_2d(pts)
+    axes = [tuple(int(i == k) for i in range(dim)) for k in range(dim)]
+    facets = {}
+    for i, base in enumerate(pts):
+        pool = [tuple(a - b for a, b in zip(p, base)) for p in pts[i + 1:]]
         pool.extend(axes)
         for combo in combinations(pool, dim - 1):
             c = _orthogonal_vector(list(combo), dim)
-            if all(v == 0 for v in c):
-                continue
             if all(v <= 0 for v in c):
                 c = tuple(-v for v in c)
-            if any(v < 0 for v in c):
+            if not any(c) or any(v < 0 for v in c):
                 continue
             g = gcd(*c)
             c = tuple(v // g for v in c)
-            if c in seen:
-                continue
-            seen.add(c)
-            m = min(sum(a * b for a, b in zip(c, p)) for p in points)
-            facets.append((c, m))
-    return tuple(facets)
+            m = sum(a * b for a, b in zip(c, base))
+            if c not in facets and all(
+                    sum(a * b for a, b in zip(c, p)) >= m for p in pts):
+                facets[c] = m
+    return tuple(facets.items())
 
 
 def _facet_member(points, dim, q):
@@ -142,13 +186,33 @@ def _facet_member(points, dim, q):
 
 
 def _closure_gaps(I):
-    """Box points outside I that lie in NP(I).
+    """The lowest point of NP(I) outside I in each column of the box.
 
     Minimal generators of the closure lie in the box bounded by the
-    componentwise maxima of the generators, so only that box is searched.
+    componentwise maxima of the generators.  The box is walked column by
+    column along its longest axis k: in the column over u, the points of I
+    are those with x_k >= top, the least x_k of a generator below u, and
+    the points of NP(I) those with x_k >= lo, read off the facets.  Every
+    other gap in the column lies above (u, lo), so only it can be minimal.
     """
-    return (p for p in box_points(generator_box(I))
-            if not contains(I, p) and _facet_member(I.gens, I.dim, p))
+    box = generator_box(I)
+    k = max(range(I.dim), key=box.__getitem__)
+    facets = _facet_inequalities(I.gens, I.dim)
+    for u in box_points(box[:k] + box[k + 1:]):
+        top = min((g[k] for g in I.gens
+                   if all(a <= b for a, b in zip(g[:k] + g[k + 1:], u))),
+                  default=box[k] + 1)
+        p = u[:k] + (0,) + u[k:]
+        lo = 0
+        for c, m in facets:
+            rest = m - sum(a * b for a, b in zip(c, p))
+            if c[k]:
+                lo = max(lo, -(-rest // c[k]))
+            elif rest > 0:
+                break
+        else:
+            if lo < top:
+                yield u[:k] + (lo,) + u[k:]
 
 
 def integral_closure(I):

@@ -3,9 +3,11 @@
 The library answers Newton-polyhedron questions from a half-space
 description, divisibility by cancellation and minimal generators by a sweep
 in degree order; these oracles answer the same questions by rational LP
-feasibility, by exhaustive search and by comparing all pairs instead.
+feasibility, by exhaustive search and by comparing all pairs instead, and
+check a claimed facet by the rank of its tight directions.
 """
 
+from fractions import Fraction
 from itertools import product as iproduct
 
 from icm.feasibility import feasible_nonneg
@@ -37,6 +39,43 @@ def member_lp(points, q):
     rows.append([1] * n + [0] * d)
     rhs = list(q) + [1]
     return feasible_nonneg(rows, rhs)
+
+
+def _rank(vectors):
+    """Rank of a list of integer vectors, by Fraction Gaussian elimination."""
+    rows = [[Fraction(v) for v in vec] for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def is_facet(points, c, m):
+    """Is c.x >= m a facet of conv(points) + R^d_+?
+
+    It must be valid (c >= 0 and c.p >= m on every point) and tight on some
+    point, and the directions it contains, differences of tight points and
+    the coordinate rays with c_k = 0, must span rank d - 1.
+    """
+    d = len(c)
+    if any(v < 0 for v in c):
+        return False
+    values = [sum(a * b for a, b in zip(c, p)) for p in points]
+    if min(values) != m:
+        return False
+    tight = [p for p, v in zip(points, values) if v == m]
+    directions = [[a - b for a, b in zip(p, tight[0])] for p in tight[1:]]
+    directions += [[int(i == k) for i in range(d)]
+                   for k in range(d) if c[k] == 0]
+    return _rank(directions) == d - 1
 
 
 def vertices_lp(points):

@@ -47,6 +47,10 @@ class TestBasicCommands:
         assert out["result"]["atoms"] == [
             {"gens": [["0", "1"], ["1", "0"]], "vars": "2"}] * 2
 
+    def test_factor_high_power(self, capsys):
+        code, out = run(capsys, "factor", "x^1200")
+        assert (code, out["result"]["length"]) == (0, "1200")
+
     def test_factorizations(self, capsys):
         code, out = run(capsys, "factorizations", "x^2,x*y,y^2")
         assert (code, out["result"]["count"]) == (0, "1")

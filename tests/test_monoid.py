@@ -137,6 +137,10 @@ class TestFactorAtoms:
         with pytest.raises(ValueError):
             factor_atoms(unit_ideal(2))
 
+    def test_high_power_needs_no_deep_stack(self):
+        x = principal_ideal((1,))
+        assert factor_atoms(principal_ideal((1500,))).atoms == (x,) * 1500
+
     def test_variable_factor_splits_without_search(self):
         # y * (x, y): y divides every generator, and the cofactor has ord 1
         I = ideal((1, 1), (0, 2))

@@ -6,10 +6,10 @@ import pytest
 from icm.errors import DimensionMismatchError
 from icm.ideals import (MonomialIdeal, contains, minimalize, principal_ideal,
                         product, unit_ideal)
-from icm.newton import (NewtonPolyhedron, integral_closure,
-                        is_integrally_closed, member, mink_sum, np_equal,
-                        np_of, reduce_points, vertices)
-from oracles import closure_lp, member_lp, vertices_lp
+from icm.newton import (NewtonPolyhedron, _facet_inequalities,
+                        integral_closure, is_integrally_closed, member,
+                        mink_sum, np_equal, np_of, reduce_points, vertices)
+from oracles import closure_lp, is_facet, member_lp, vertices_lp
 
 
 def ideal(*gens):
@@ -74,6 +74,38 @@ class TestMember:
         for a in range(4):
             for b in range(4):
                 assert member(P, (a, b)) == member(Q, (a, b))
+
+
+class TestFacetInequalities:
+    def test_lower_chain_2d(self):
+        # (1, 3) is repeated and collinear, (3, 3) is dominated
+        pts = ((0, 5), (1, 3), (2, 1), (4, 0), (3, 3), (1, 3))
+        assert sorted(_facet_inequalities(pts, 2)) == [
+            ((0, 1), 0), ((1, 0), 0), ((1, 2), 4), ((2, 1), 5)]
+
+    def test_constant_coordinate_splits_off(self):
+        pts = ((2, 0, 5), (0, 2, 5))
+        assert sorted(_facet_inequalities(pts, 3)) == [
+            ((0, 0, 1), 5), ((0, 1, 0), 0), ((1, 0, 0), 0), ((1, 1, 0), 2)]
+
+    def test_only_facets_against_oracles(self):
+        rng = random.Random(13)
+        for dim in (1, 2, 3, 4, 5):
+            for _ in range(40):
+                pts = random_points(rng, dim)
+                pts.append(rng.choice(pts))
+                pts.append(tuple(a + rng.randint(0, 2)
+                                 for a in rng.choice(pts)))
+                if dim > 1 and rng.random() < 0.5:
+                    k, a = rng.randrange(dim), rng.randint(0, 4)
+                    pts = [p[:k] + (a,) + p[k + 1:] for p in pts]
+                facets = _facet_inequalities(tuple(pts), dim)
+                normals = [c for c, _ in facets]
+                assert len(set(normals)) == len(normals), pts
+                assert all(is_facet(pts, c, m) for c, m in facets), pts
+                P = NewtonPolyhedron(dim, tuple(pts))
+                for q in probe_points(rng, pts):
+                    assert member(P, q) == member_lp(pts, q), (pts, q)
 
 
 class TestVertices:
@@ -167,6 +199,21 @@ class TestIntegralClosure:
         gens = integral_closure(I).gens
         assert len(gens) == 351
         assert all(sum(g) == 25 for g in gens)
+
+    def test_long_axis(self):
+        I = ideal((100000, 0), (0, 3))
+        assert integral_closure(I).gens == (
+            (0, 3), (33334, 2), (66667, 1), (100000, 0))
+
+    @pytest.mark.parametrize("gens", [
+        [(60, 0), (0, 4)],
+        [(2, 1, 0, 0), (0, 2, 1, 0), (0, 0, 2, 1), (1, 0, 0, 2)],
+        [(2, 1, 0, 0, 0, 0), (0, 2, 1, 0, 0, 0), (1, 0, 2, 0, 0, 0),
+         (0, 0, 0, 3, 0, 0)],
+    ], ids=["x60-y4", "4d", "6d-two-unused"])
+    def test_against_lp_oracle_wide(self, gens):
+        I = ideal(*gens)
+        assert integral_closure(I) == closure_lp(I)
 
     def test_against_lp_oracle_2d(self):
         rng = random.Random(7)
