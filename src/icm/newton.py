@@ -142,8 +142,9 @@ def _facet_inequalities(points, dim):
 
     A coordinate k that is constant over the points gives the facet
     x_k >= a, and the other facets are those of the projection without k,
-    lifted with c_k = 0.  2D facets come from the lower convex chain.
-    Otherwise a facet's first tight point, with d-1 independent directions
+    lifted with c_k = 0.  2D facets come from the lower convex chain in
+    O(n log n); the loop below finds the same ones from O(n^2) candidate
+    normals, each checked in O(n).  Otherwise a facet's first tight point, with d-1 independent directions
     among differences to later points and the coordinate rays, spans it;
     a candidate normal is kept only when it supports at that base point.
     """
