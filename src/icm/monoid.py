@@ -1,10 +1,12 @@
 """The monoid of integrally closed monomial ideals under I*J = closure(IJ).
 
-Divisor searches exploit two facts: any star factor J of I satisfies
-J >= I (as ideals) with minimal generators inside the generator box of I,
-and ord is additive, so factor searches are finite.  All searches carry an
-explicit budget; running out raises BudgetExceededError rather than
-returning a wrong negative.
+Divisor searches exploit three facts: any star factor J of I satisfies
+J >= I (as ideals) with minimal generators inside the generator box of I;
+ord is additive, so factor searches are finite; and NP(I) is the Minkowski
+sum of its factors' Newton polyhedra, so every facet normal of a star
+factor is a facet normal of the product.  All searches carry an explicit
+budget; running out raises BudgetExceededError rather than returning a
+wrong negative.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import BudgetExceededError, NotStarMultipleError
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
                      generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
-from .newton import integral_closure, is_integrally_closed
+from .newton import facet_normals, integral_closure, is_integrally_closed
 
 DEFAULT_BUDGET = 500_000
 
@@ -68,13 +70,14 @@ def closed_supersets(I, budget=None):
     is enumerated by its antichain of maximal elements.
     """
     budget = _as_budget(budget)
-    all_pts = set(box_points(generator_box(I)))
-    complement = sorted((p for p in all_pts if not contains(I, p)),
-                        key=lambda p: (sum(p), p))
+    complement = sorted((p for p in box_points(generator_box(I))
+                         if not contains(I, p)), key=lambda p: (sum(p), p))
 
     def rec(start, chosen, down):
         budget.spend()
-        J = minimalize(all_pts - down, I.dim)
+        # a minimal point of box - down inside I is a generator of I
+        J = minimalize(I.gens + tuple(p for p in complement
+                                      if p not in down), I.dim)
         if is_integrally_closed(J):
             yield J
         for i in range(start, len(complement)):
@@ -88,9 +91,16 @@ def closed_supersets(I, budget=None):
 
 
 def _divisor_pairs(I, budget, ord_lo, ord_hi):
-    """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi."""
+    """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi.
+
+    The face of NP(J) + NP(K) in direction c is the sum of the faces of
+    NP(J) and NP(K), so a facet normal of J is one of I; a J with any
+    other facet normal is skipped without a colon or a closure.
+    """
+    normals = facet_normals(I)
     for J in closed_supersets(I, budget):
-        if ord_lo <= ord_valuation(J) <= ord_hi:
+        if (ord_lo <= ord_valuation(J) <= ord_hi
+                and facet_normals(J) <= normals):
             K = divides(J, I)
             if K is not None:
                 yield J, K

@@ -78,6 +78,11 @@ def np_equal(P, Q):
             and all(_facet_member(P.points, P.dim, q) for q in Q.points))
 
 
+def facet_normals(I):
+    """The set of primitive facet normals of NP(I)."""
+    return frozenset(c for c, _ in _facet_inequalities(I.gens, I.dim))
+
+
 def _int_det(mat):
     """Determinant of a small square integer matrix, by cofactor expansion."""
     n = len(mat)
@@ -144,9 +149,10 @@ def _facet_inequalities(points, dim):
     x_k >= a, and the other facets are those of the projection without k,
     lifted with c_k = 0.  2D facets come from the lower convex chain in
     O(n log n); the loop below finds the same ones from O(n^2) candidate
-    normals, each checked in O(n).  Otherwise a facet's first tight point, with d-1 independent directions
-    among differences to later points and the coordinate rays, spans it;
-    a candidate normal is kept only when it supports at that base point.
+    normals, each checked in O(n).  Otherwise a facet's first tight point,
+    with d-1 independent directions among differences to later points and
+    the coordinate rays, spans it; a candidate normal is kept only when it
+    supports at that base point.
     """
     pts = sorted(set(points))
     for k in range(dim):

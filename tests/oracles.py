@@ -4,14 +4,15 @@ The library answers Newton-polyhedron questions from a half-space
 description, divisibility by cancellation and minimal generators by a sweep
 in degree order; these oracles answer the same questions by rational LP
 feasibility, by exhaustive search and by comparing all pairs instead, and
-check a claimed facet by the rank of its tight directions.
+check a claimed facet by the rank of its tight directions.  The searches
+test every candidate divisor in full, with no facet or variable shortcut.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
 from icm.feasibility import feasible_nonneg
-from icm.ideals import MonomialIdeal
+from icm.ideals import MonomialIdeal, ord_valuation
 from icm.monoid import closed_supersets, star
 
 
@@ -103,3 +104,15 @@ def divides_by_search(I, J):
         if star(I, K) == J:
             return K
     return None
+
+
+def irreducible_by_search(I):
+    """No closed J >= I with 1 <= ord(J) < ord(I) star-divides I.
+
+    Every star factor of I is among its closed supersets, and ord is
+    additive, so a proper split exists iff such a J divides I.
+    """
+    o = ord_valuation(I)
+    return not any(divides_by_search(J, I) is not None
+                   for J in closed_supersets(I, budget=None)
+                   if 1 <= ord_valuation(J) < o)

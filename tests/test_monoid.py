@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -5,11 +6,15 @@ import pytest
 from icm.errors import BudgetExceededError, NotStarMultipleError
 from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
                         unit_ideal)
-from icm.monoid import (SearchBudget, all_factorizations, closed_supersets,
-                        divides, factor_atoms, is_star_irreducible,
-                        quotient_cancel, star, star_power)
-from icm.newton import is_integrally_closed
-from oracles import closure_lp, divides_by_search
+from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
+                        closed_supersets, divides, factor_atoms,
+                        is_star_irreducible, quotient_cancel, star,
+                        star_power)
+from icm.newton import facet_normals, is_integrally_closed
+from icm.parsing import parse_ideal
+from icm.properties import random_closed_ideal
+from oracles import (closure_lp, divides_by_search, irreducible_by_search,
+                     is_facet)
 
 
 def ideal(*gens):
@@ -100,8 +105,15 @@ class TestIrreducible:
         with pytest.raises(ValueError):
             is_star_irreducible(unit_ideal(2))
 
+    def test_against_search_oracle_3d(self):
+        closed = [J for J in closed_supersets(principal_ideal((2, 1, 1)),
+                                              budget=None) if not J.is_unit]
+        assert len(closed) == 48
+        for I in closed:
+            assert is_star_irreducible(I) == irreducible_by_search(I), I
+
     def test_budget_exceeded_is_distinct(self):
-        # an ideal no other test touches, so no search cache can answer
+        # a budget of one covers only the first candidate, I itself
         with pytest.raises(BudgetExceededError):
             is_star_irreducible(ideal((9, 0), (1, 1), (0, 9)),
                                 budget=SearchBudget(1))
@@ -174,6 +186,46 @@ class TestAllFactorizations:
             for a in fz:
                 prod = star(prod, a)
             assert prod == I
+
+    def test_lipman_search_work(self):
+        # pins the enumeration: the facet prune skips divisions only
+        L = star(parse_ideal("x,y,z"),
+                 parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
+        budget = SearchBudget(None)
+        found = all_factorizations(L, budget=budget)
+        assert budget.examined == 425
+        assert {len(fz) for fz in found} == {2, 3}
+
+
+class TestDivisorPairs:
+    @pytest.mark.parametrize("corner", [(3, 2), (2, 1, 1)])
+    def test_prune_keeps_every_divisor(self, corner):
+        # every closed ideal with generators in the box, against the same
+        # enumeration with each candidate divided and none pruned
+        closed = list(closed_supersets(principal_ideal(corner), budget=None))
+        for I in closed:
+            pairs = [(J, divides(J, I))
+                     for J in closed_supersets(I, budget=None)]
+            assert list(_divisor_pairs(
+                I, SearchBudget(None), 0, ord_valuation(I))) == [
+                    (J, K) for J, K in pairs if K is not None], I
+
+
+class TestFacetsOfFactors:
+    """The theorem the divisor prune rests on: NP(star(J, K)) is
+    NP(J) + NP(K), so each facet normal of J is a facet normal of the
+    product.  Each facet is checked by the rank oracle, not by newton."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_factor_facets_are_product_facets(self, dim):
+        rng = random.Random(20 + dim)
+        for _ in range(100):
+            J = random_closed_ideal(rng, dim)
+            K = random_closed_ideal(rng, dim)
+            S = star(J, K).gens
+            for c in facet_normals(J):
+                m = min(sum(a * b for a, b in zip(c, p)) for p in S)
+                assert is_facet(S, c, m), (J, K, c)
 
 
 class TestBudgetIgnoresHistory:
