@@ -30,8 +30,8 @@ class SearchBudget:
         self.limit = limit
         self.examined = 0
 
-    def spend(self, n=1):
-        self.examined += n
+    def spend(self):
+        self.examined += 1
         if self.limit is not None and self.examined > self.limit:
             raise BudgetExceededError(
                 f"search budget of {self.limit} candidates exceeded",

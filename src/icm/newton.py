@@ -88,8 +88,6 @@ def _int_det(mat):
     n = len(mat)
     if n == 0:
         return 1
-    if n == 1:
-        return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     total = 0
@@ -109,33 +107,38 @@ def _orthogonal_vector(vectors, dim):
     return tuple(c)
 
 
-def _chain_facets_2d(points):
-    """Facets of a 2D polyhedron with no constant coordinate, from its
-    sorted points: the two axis facets and one per edge of the lower
-    convex chain.
-
-    The chain runs over the points whose y strictly decreases in x order,
-    from the lowest leftmost point to the leftmost lowest one; collinear
-    points are dropped, so no two edges share a normal.
+def convex_chain(points):
+    """Andrew's monotone chain over points given in sorted order: the lower
+    convex chain from the first point to the last, with strict turns only,
+    so collinear points are dropped.  Reversed input gives the upper chain.
     """
-    stair = []
-    for p in points:
-        if not stair or p[1] < stair[-1][1]:
-            stair.append(p)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     chain = []
-    for p in stair:
-        while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0:
+    for p in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (p[1] - oy) > (ay - oy) * (p[0] - ox):
+                break  # a strict left turn at chain[-1]
             chain.pop()
         chain.append(p)
-    facets = [((1, 0), stair[0][0]), ((0, 1), stair[-1][1])]
+    return chain
+
+
+def _chain_facets_2d(points):
+    """Facets of a 2D polyhedron with no constant coordinate, from its
+    sorted points: the two axis facets and one per descending edge of the
+    lower convex chain.
+
+    A point that is not lowest among those up to it dominates an earlier
+    point, so it never lies on a descending edge; collinear points are
+    dropped, so no two edges share a normal.
+    """
+    chain = convex_chain(points)
+    facets = [((1, 0), points[0][0]), ((0, 1), min(p[1] for p in points))]
     for p, q in zip(chain, chain[1:]):
-        a, b = p[1] - q[1], q[0] - p[0]
-        g = gcd(a, b)
-        facets.append(((a // g, b // g), (a * p[0] + b * p[1]) // g))
+        if q[1] < p[1]:
+            a, b = p[1] - q[1], q[0] - p[0]
+            g = gcd(a, b)
+            facets.append(((a // g, b // g), (a * p[0] + b * p[1]) // g))
     return tuple(facets)
 
 

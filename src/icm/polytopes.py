@@ -18,7 +18,7 @@ from .feasibility import convex_combination_exists
 from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
                      translate, unit_ideal)
 from .monoid import star
-from .newton import integral_closure, is_integrally_closed
+from .newton import convex_chain, integral_closure, is_integrally_closed
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,11 @@ class IntegralPolytope:
 
 
 def _hull_2d(points):
-    """Monotone chain; returns the ccw vertex cycle with collinear points
-    dropped (strict turns only)."""
+    """The ccw vertex cycle of conv(points), collinear points dropped."""
     pts = sorted(set(points))
     if len(pts) == 1:
         return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return convex_chain(pts)[:-1] + convex_chain(pts[::-1])[:-1]
 
 
 def hull(points, dim):
@@ -78,13 +64,6 @@ def hull(points, dim):
         verts = {p for i, p in enumerate(pts)
                  if not convex_combination_exists(pts[:i] + pts[i + 1:], p)}
     return IntegralPolytope(dim, tuple(sorted(verts)))
-
-
-def ccw_cycle(P):
-    """Vertices of a 2D polytope in counterclockwise order."""
-    if P.dim != 2:
-        raise DimensionMismatchError("ccw cycle is a 2D notion")
-    return _hull_2d(P.verts)
 
 
 def p_mink_sum(P, Q):
@@ -223,7 +202,7 @@ def edge_vector_counts(P):
     directions, a point not at all."""
     if P.dim != 2:
         raise DimensionMismatchError("edge counts are a 2D notion")
-    cyc = ccw_cycle(P)
+    cyc = _hull_2d(P.verts)
     counts = {}
     if len(cyc) == 1:
         return counts
@@ -369,7 +348,11 @@ def ideal_to_polytope(I):
 class ColonFactorization:
     """I as closure(x^num_monomial * prod (x^a, y^b)) colon the same shape.
 
-    Factors are (a, b) exponent pairs, one entry per copy.
+    Factors are (a, b) exponent pairs, one entry per copy.  For a closed 2D
+    ideal the denominator is always trivial, den_monomial (0, 0) and no
+    den_factors: by Zariski's theorem the ideal is a monomial times a star
+    product of closures of (x^a, y^b).  The fields stay so the shape of an
+    answer does not depend on that theorem.
     """
     base: MonomialIdeal
     num_monomial: tuple
@@ -401,35 +384,21 @@ def colon_factorization_2d(I):
 
     Only segments with direction (-a, b), a, b > 0 have a nontrivial
     phi-image; every other basis element lands on the identity class (this
-    is computed per element, not assumed).  The returned expression
-    evaluates back to I exactly.
+    is computed per element, not assumed).  Such a segment's coefficient
+    is its edge's lattice length, never negative, so the factors all go to
+    the numerator.  The returned expression evaluates back to I exactly.
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
     if not is_integrally_closed(I):
         raise ValueError("input must be integrally closed")
-    zero = (0, 0)
     coeffs = decompose_2d(group_element(hull(I.gens, 2)))
-    num_factors, den_factors = [], []
+    num_factors = []
     for B, c in coeffs.items():
-        image = phi(B.polytope())
-        if image.is_identity:
-            continue
-        a, b = -B.v[0], B.v[1]
-        pair = (a, b)
-        if c > 0:
-            num_factors.extend([pair] * c)
-        else:
-            den_factors.extend([pair] * (-c))
-
-    num_ideal = _evaluate_product(zero, num_factors)
-    den_ideal = _evaluate_product(zero, den_factors)
-    shifted = star(den_ideal, I)
-    s_norm, s = normalize_translation(shifted)
-    n_norm, t = normalize_translation(num_ideal)
-    if s_norm != n_norm:
+        if not phi(B.polytope()).is_identity:
+            num_factors.extend([(-B.v[0], B.v[1])] * c)
+    base, monomial = normalize_translation(I)
+    if _evaluate_product((0, 0), num_factors) != base:
         raise AssertionError("phi images do not recombine to the input class")
-    num_monomial = tuple(max(si - ti, 0) for si, ti in zip(s, t))
-    den_monomial = tuple(max(ti - si, 0) for si, ti in zip(s, t))
-    return ColonFactorization(I, num_monomial, tuple(sorted(num_factors)),
-                              den_monomial, tuple(sorted(den_factors)))
+    return ColonFactorization(I, monomial, tuple(sorted(num_factors)),
+                              (0, 0), ())

@@ -86,11 +86,30 @@ def vertices_lp(points):
             if len(pts) == 1 or not member_lp(pts[:i] + pts[i + 1:], p)}
 
 
+def hull_vertices_lp(points):
+    """Points of the list that are not a convex combination of the others,
+    by LP: the vertex set of their bounded convex hull."""
+    pts = sorted(set(map(tuple, points)))
+    verts = set()
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        rows = [[o[j] for o in others] for j in range(len(p))]
+        rows.append([1] * len(others))
+        if not others or not feasible_nonneg(rows, list(p) + [1]):
+            verts.add(p)
+    return verts
+
+
 def closure_lp(I):
-    """Integral closure: minimal box points that are LP members of NP(I)."""
+    """Integral closure: minimal box points that are LP members of NP(I).
+
+    A box point that dominates a generator lies in I, hence in NP(I), so
+    only the others need an LP.
+    """
     box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
     pts = [p for p in iproduct(*(range(b + 1) for b in box))
-           if member_lp(I.gens, p)]
+           if any(all(a >= b for a, b in zip(p, g)) for g in I.gens)
+           or member_lp(I.gens, p)]
     return minimal_by_pairs(pts, I.dim)
 
 

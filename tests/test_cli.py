@@ -82,6 +82,13 @@ class TestBasicCommands:
         assert out["result"]["num_factors"] == [["2", "3"]]
         assert out["result"]["round_trip"] is True
 
+    def test_verify_lipman(self, capsys):
+        code, out = run(capsys, "verify", "lipman")
+        assert (code, out["result"]["equal"]) == (0, True)
+        assert out["result"]["ords"] == ["1", "2", "1", "1", "1"]
+        assert out["result"]["distinct_factorizations"] == "2"
+        assert out["result"]["factorization_sizes"] == ["2", "3"]
+
     def test_props_small(self, capsys):
         code, out = run(capsys, "props", "closure_laws", "--seed", "3",
                         "--cases", "20")

@@ -2,10 +2,12 @@
 top-level name defined under src/icm is used somewhere in src/icm.
 
 Package `__init__.py` files are exempt from the import check (their imports
-are re-exports), and so are `from __future__` imports.
+are re-exports), and so are `from __future__` imports.  Every console script
+named in pyproject.toml resolves to a callable entry point.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,15 @@ def test_no_orphaned_private_names():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))]
     assert orphaned_private_names(sources) == []
+
+
+def test_console_script_targets_resolve():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, function = target.split(":")
+        main = getattr(importlib.import_module(module), function)
+        assert main(["ord", "x"]) == 0

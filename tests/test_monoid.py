@@ -187,6 +187,10 @@ class TestAllFactorizations:
                 prod = star(prod, a)
             assert prod == I
 
+    def test_unit_rejected(self):
+        with pytest.raises(ValueError):
+            all_factorizations(unit_ideal(2))
+
     def test_lipman_search_work(self):
         # pins the enumeration: the facet prune skips divisions only
         L = star(parse_ideal("x,y,z"),

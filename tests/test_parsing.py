@@ -54,6 +54,13 @@ class TestParseErrors:
         with pytest.raises(IdealParseError):
             parse_ideal("x3", dim=2)
 
+    @pytest.mark.parametrize("text, position", [
+        ("x0^2", 0), ("y*x0", 2), ("x, y*x0", 5)])
+    def test_variable_index_zero(self, text, position):
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal(text)
+        assert exc.value.position == position
+
 
 class TestRender:
     @pytest.mark.parametrize("text", [

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from icm.errors import DimensionMismatchError
@@ -11,6 +13,7 @@ from icm.polytopes import (BasisElement, basis_segment, basis_triangle,
                            group_negate, height, hull, ideal_class,
                            ideal_to_polytope, p_mink_sum, phi, phi_group,
                            point_polytope, shadow, translate_polytope)
+from oracles import hull_vertices_lp
 
 
 def ideal(*gens):
@@ -35,6 +38,18 @@ class TestHull:
         P = hull({(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                   (0, 0, 0)}, 3)
         assert len(P.verts) == 4
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_against_lp_oracle(self, dim):
+        rng = random.Random(29 + dim)
+        for _ in range(150):
+            pts = [tuple(rng.randint(-3, 5) for _ in range(dim))
+                   for _ in range(rng.randint(1, 8))]
+            p, step = rng.choice(pts), [rng.randint(-2, 2) for _ in range(dim)]
+            pts += [tuple(a + k * s for a, s in zip(p, step))
+                    for k in range(rng.randint(0, 3))]  # collinear run
+            pts += rng.choices(pts, k=rng.randint(0, 2))  # repeats
+            assert set(hull(pts, dim).verts) == hull_vertices_lp(pts), pts
 
 
 class TestHeightShadow:
