@@ -15,8 +15,8 @@ import sys
 from .errors import (BudgetExceededError, DimensionMismatchError,
                      IdealParseError, NotStarMultipleError)
 from .ideals import colon, ord_valuation
-from .monoid import (DEFAULT_BUDGET, all_factorizations, divides, factor_atoms,
-                     is_star_irreducible, star)
+from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
+                     divides, factor_atoms, is_star_irreducible, star)
 from .newton import integral_closure, is_integrally_closed
 from .parsing import (ideal_from_document, ideal_to_document, parse_ideal,
                       parse_points)
@@ -74,11 +74,6 @@ def _int_at_least(low):
     return integer
 
 
-def _require_closed(I, name="ideal"):
-    if not is_integrally_closed(I):
-        raise ValueError(f"{name} must be integrally closed")
-
-
 # ---------------------------------------------------------------------------
 # command implementations; each returns the "result" object
 
@@ -129,7 +124,6 @@ def _cmd_factorizations(args):
 
 def _cmd_irreducible(args):
     I = _load_ideal(args.ideal, args)
-    _require_closed(I)
     return {"irreducible": is_star_irreducible(I, budget=args.budget)}
 
 

@@ -1,9 +1,10 @@
 """Exact rational feasibility of small linear systems.
 
-It serves bounded hulls: polytopes.hull drops a point from a polytope of
-dimension 3 or more when the LP finds it a convex combination of the rest.
-Phase-1 simplex with Bland's rule, run fraction-free on an integer tableau
-(two-step Bareiss division keeps entries integral, so there is no rounding
+No library path solves an LP: every polyhedral question is answered from
+the facet description in newton.  This solver serves the test oracles,
+which check that description by an independent route.  Phase-1 simplex
+with Bland's rule, run fraction-free on an integer tableau (two-step
+Bareiss division keeps entries integral, so there is no rounding
 anywhere).  Sizes here are tiny; exactness is the point.
 """
 
@@ -87,18 +88,3 @@ def feasible_nonneg(rows, rhs):
         denom = piv
         basis[leave] = enter
     return cost[-1] == 0
-
-
-def convex_combination_exists(points, q):
-    """Exists lambda >= 0 with sum(lambda) = 1 and sum(lambda_i p_i) = q?
-
-    Exact membership of q in the bounded hull conv(points).
-    """
-    points = list(points)
-    if not points:
-        return False
-    d = len(q)
-    rows = [[p[j] for p in points] for j in range(d)]
-    rows.append([1] * len(points))
-    rhs = list(q) + [1]
-    return feasible_nonneg(rows, rhs)

@@ -106,6 +106,13 @@ def _divisor_pairs(I, budget, ord_lo, ord_hi):
                 yield J, K
 
 
+def _require_closed(I, name="ideal"):
+    """The monoid's elements are the closed ideals; a search over anything
+    else would answer silently for an ideal outside it."""
+    if not is_integrally_closed(I):
+        raise ValueError(f"{name} must be integrally closed")
+
+
 def _proper_split(I, budget):
     """A split (J, K) of I into non-units, or None.  A variable x_i dividing
     I gives ((x_i), I / x_i) with no search; else the first _divisor_pairs."""
@@ -135,6 +142,7 @@ def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
+    _require_closed(I)
     return _proper_split(I, _as_budget(budget)) is None
 
 
@@ -155,6 +163,7 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
+    _require_closed(I)
     budget = _as_budget(budget)
     atoms, pending = [], [I]
     while pending:
@@ -172,14 +181,16 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering."""
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
+    _require_closed(I)
     budget = _as_budget(budget)
     results = set()
 
     # Memos live for this call only, so the outcome under a given budget
-    # does not depend on what earlier calls searched.
+    # does not depend on what earlier calls searched.  Every candidate is
+    # closed by construction, so it needs no closedness test.
     @cache
     def irreducible(J):
-        return is_star_irreducible(J, budget)
+        return _proper_split(J, budget) is None
 
     @cache
     def atom_divisors(current):

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .feasibility import convex_combination_exists
 from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
                      translate, unit_ideal)
 from .monoid import star
-from .newton import convex_chain, integral_closure, is_integrally_closed
+from .newton import (NewtonPolyhedron, convex_chain, integral_closure,
+                     is_integrally_closed, vertices)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,10 @@ def _hull_2d(points):
 def hull(points, dim):
     """Vertex set of conv(points), exactly.
 
-    A point is a vertex iff it is not a rational convex combination of the
-    other points; in 2D the monotone chain decides this directly.
+    In 2D the monotone chain gives it directly.  In d >= 3, p is a vertex
+    iff it uniquely minimizes some c over the points, iff the lifted point
+    (p, -sum(p)) uniquely minimizes (c + b, b) > 0 for a large b, iff that
+    lifted point is a vertex of the Newton polyhedron of the lifted points.
     """
     pts = sorted(set(map(tuple, points)))
     if not pts:
@@ -61,8 +63,8 @@ def hull(points, dim):
     elif dim == 2:
         verts = set(_hull_2d(pts))
     else:
-        verts = {p for i, p in enumerate(pts)
-                 if not convex_combination_exists(pts[:i] + pts[i + 1:], p)}
+        lifted = NewtonPolyhedron(dim + 1, tuple(p + (-sum(p),) for p in pts))
+        verts = {v[:dim] for v in vertices(lifted)}
     return IntegralPolytope(dim, tuple(sorted(verts)))
 
 

@@ -103,14 +103,29 @@ def hull_vertices_lp(points):
 def closure_lp(I):
     """Integral closure: minimal box points that are LP members of NP(I).
 
-    A box point that dominates a generator lies in I, hence in NP(I), so
-    only the others need an LP.
+    Membership is monotone up each column of the box along the last axis,
+    so bisection finds a column's lowest member with O(log M) tests, and
+    only such lowest points can be minimal.  A box point that dominates a
+    generator lies in I, hence in NP(I), so it needs no LP.
     """
     box = tuple(max(g[k] for g in I.gens) for k in range(I.dim))
-    pts = [p for p in iproduct(*(range(b + 1) for b in box))
-           if any(all(a >= b for a, b in zip(p, g)) for g in I.gens)
-           or member_lp(I.gens, p)]
-    return minimal_by_pairs(pts, I.dim)
+
+    def inside(p):
+        return (any(all(a >= b for a, b in zip(p, g)) for g in I.gens)
+                or member_lp(I.gens, p))
+
+    lowest = []
+    for u in iproduct(*(range(b + 1) for b in box[:-1])):
+        lo, hi = 0, box[-1] + 1  # the column's lowest member, or past the box
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if inside(u + (mid,)):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo <= box[-1]:
+            lowest.append(u + (lo,))
+    return minimal_by_pairs(lowest, I.dim)
 
 
 def divides_by_search(I, J):

@@ -2,8 +2,10 @@
 top-level name defined under src/icm is used somewhere in src/icm.
 
 Package `__init__.py` files are exempt from the import check (their imports
-are re-exports), and so are `from __future__` imports.  Every console script
-named in pyproject.toml resolves to a callable entry point.
+are re-exports), and so are `from __future__` imports.  No module but
+`feasibility.py` itself imports the LP solver, so no production path solves
+an LP.  Every console script named in pyproject.toml resolves to a callable
+entry point.
 """
 
 import ast
@@ -40,6 +42,38 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source):
+    """Last dotted part of every module a source imports, or imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:  # from . import name
+                names.update(alias.name for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in names}
+
+
+def test_detects_an_import_of_feasibility():
+    for source in ("from .feasibility import feasible_nonneg\n",
+                   "from . import feasibility\n",
+                   "import icm.feasibility\n"):
+        assert "feasibility" in imported_modules(source), source
+    assert "feasibility" not in imported_modules("from .newton import member\n")
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "feasibility.py"],
+                         ids=lambda p: p.name)
+def test_no_lp_in_production(path):
+    """Only the test oracles solve LPs; the library reads every polyhedral
+    answer off the facet description."""
+    assert "feasibility" not in imported_modules(
+        path.read_text(encoding="utf-8"))
 
 
 def _defined_names(stmt):

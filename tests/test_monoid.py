@@ -171,6 +171,24 @@ class TestFactorAtoms:
         assert joint.examined == alone.examined > 0
 
 
+class TestRejectsUnclosed:
+    """Queries on an ideal outside the monoid raise before any search."""
+
+    @pytest.mark.parametrize("fn", [
+        is_star_irreducible, factor_atoms, all_factorizations],
+        ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("I", [
+        ideal((2, 0), (0, 2)),
+        ideal((4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)),
+    ], ids=["x2-y2", "x4-y4-z4-xyz"])
+    def test_raises_without_search(self, fn, I):
+        assert not is_integrally_closed(I)
+        budget = SearchBudget(None)
+        with pytest.raises(ValueError, match="integrally closed"):
+            fn(I, budget=budget)
+        assert budget.examined == 0
+
+
 class TestAllFactorizations:
     def test_two_variable_uniqueness(self):
         assert len(all_factorizations(M2SQ)) == 1

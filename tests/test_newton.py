@@ -112,6 +112,23 @@ class TestFacetInequalities:
                 for q in probe_points(rng, pts):
                     assert member(P, q) == member_lp(pts, q), (pts, q)
 
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_4d_antichain(self, n):
+        rng = random.Random(n)
+        pts = []
+        while len(pts) < n:
+            p = tuple(rng.randint(0, 9) for _ in range(4))
+            if not any(all(a <= b for a, b in zip(p, q))
+                       or all(a >= b for a, b in zip(p, q)) for q in pts):
+                pts.append(p)
+        facets = _facet_inequalities(tuple(pts), 4)
+        normals = [c for c, _ in facets]
+        assert len(set(normals)) == len(normals)
+        assert all(is_facet(pts, c, m) for c, m in facets)
+        P = NewtonPolyhedron(4, tuple(pts))
+        for q in probe_points(rng, pts):
+            assert member(P, q) == member_lp(pts, q), q
+
 
 class TestVertices:
     def test_drops_interior_point(self):
@@ -138,7 +155,7 @@ class TestVertices:
 
     def test_against_lp_oracle(self):
         rng = random.Random(12)
-        for dim in (1, 2, 3, 4):
+        for dim in (1, 2, 3, 4, 5):
             for _ in range(40):
                 pts = random_points(rng, dim)
                 P = NewtonPolyhedron(dim, tuple(pts))

@@ -39,7 +39,7 @@ class TestHull:
                   (0, 0, 0)}, 3)
         assert len(P.verts) == 4
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_against_lp_oracle(self, dim):
         rng = random.Random(29 + dim)
         for _ in range(150):
