@@ -1,24 +1,28 @@
 """The monoid of integrally closed monomial ideals under I*J = closure(IJ).
 
-Divisor searches exploit three facts: any star factor J of I satisfies
-J >= I (as ideals) with minimal generators inside the generator box of I;
-ord is additive, so factor searches are finite; and NP(I) is the Minkowski
-sum of its factors' Newton polyhedra, so every facet normal of a star
-factor is a facet normal of the product.  All searches carry an explicit
-budget; running out raises BudgetExceededError rather than returning a
-wrong negative.
+In two variables factorization is unique and the atoms are (x), (y) and
+closure(x^a, y^b), gcd(a, b) = 1 (Zariski), so neither needs a search.
+Divisor searches, which still find each split, exploit three facts: any
+star factor J of I satisfies J >= I (as ideals) with minimal generators
+inside the generator box of I; ord is additive, so factor searches are
+finite; and NP(I) is the Minkowski sum of its factors' Newton polyhedra,
+so every facet normal of a star factor is a facet normal of the product.
+All searches carry an explicit budget; running out raises
+BudgetExceededError rather than returning a wrong negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import gcd
 
 from .errors import BudgetExceededError, NotStarMultipleError
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
                      generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
-from .newton import facet_normals, integral_closure, is_integrally_closed
+from .newton import (convex_chain, facet_normals, integral_closure,
+                     is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -115,11 +119,16 @@ def _require_closed(I, name="ideal"):
 
 def _proper_split(I, budget):
     """A split (J, K) of I into non-units, or None.  A variable x_i dividing
-    I gives ((x_i), I / x_i) with no search; else the first _divisor_pairs."""
+    I gives ((x_i), I / x_i) with no search.  Past that, a 2D I with one
+    Newton polygon edge, from (0, b) to (a, 0), is closure(x^a, y^b): an
+    atom iff gcd(a, b) = 1 (Zariski).  Else the first _divisor_pairs."""
     o = ord_valuation(I)
     for e in (tuple(int(k == i) for k in range(I.dim)) for i in range(I.dim)):
         if o > 1 and all(dominates(g, e) for g in I.gens):
             return principal_ideal(e), translate(I, tuple(-x for x in e))
+    if (I.dim == 2 and len(convex_chain(I.gens)) == 2
+            and gcd(I.gens[-1][0], I.gens[0][1]) == 1):
+        return None
     return next(_divisor_pairs(I, budget, 1, o - 1), None) if o > 1 else None
 
 
@@ -137,8 +146,9 @@ def divides(I, J, budget=DEFAULT_BUDGET):
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """No pair of non-unit closed ideals star-multiplies to I.
 
-    Exhaustive over the finite divisor search space; ord(I) == 1 is an
-    immediate yes since ord is additive and only the unit has ord 0.
+    Exhaustive over the finite divisor search space unless _proper_split
+    needs none; ord(I) == 1 is an immediate yes since ord is additive and
+    only the unit has ord 0.
     """
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
@@ -178,7 +188,10 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
 
 
 def all_factorizations(I, budget=DEFAULT_BUDGET):
-    """Every multiset of atoms whose star product is I, up to reordering."""
+    """Every multiset of atoms whose star product is I, up to reordering.
+    In d <= 2 it is unique (Zariski): factor_atoms' answer; else a search."""
+    if I.dim <= 2:
+        return {factor_atoms(I, budget).atoms}
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     _require_closed(I)

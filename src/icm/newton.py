@@ -45,7 +45,8 @@ def member(P, q):
     q = tuple(q)
     if len(q) != P.dim:
         raise DimensionMismatchError(f"point has length {len(q)}, expected {P.dim}")
-    return _facet_member(P.points, P.dim, q)
+    return all(sum(a * b for a, b in zip(c, q)) >= m
+               for c, m in _facet_inequalities(P.points, P.dim))
 
 
 def vertices(P):
@@ -178,14 +179,6 @@ def _facet_inequalities(points, dim):
     if dim == 2:
         return _chain_facets_2d(pts)
     return _double_description(pts, dim)
-
-
-def _facet_member(points, dim, q):
-    """Exact test: q in conv(points) + R^d_+, for integer or rational q."""
-    for c, m in _facet_inequalities(points, dim):
-        if sum(a * b for a, b in zip(c, q)) < m:
-            return False
-    return True
 
 
 def _closure_gaps(I):

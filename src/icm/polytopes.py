@@ -16,9 +16,8 @@ from math import gcd
 from .errors import DimensionMismatchError
 from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
                      translate, unit_ideal)
-from .monoid import star
-from .newton import (NewtonPolyhedron, convex_chain, integral_closure,
-                     is_integrally_closed, vertices)
+from .monoid import _require_closed, star
+from .newton import NewtonPolyhedron, convex_chain, integral_closure, vertices
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def _hull_2d(points):
 def hull(points, dim):
     """Vertex set of conv(points), exactly.
 
-    In 2D the monotone chain gives it directly.  In d >= 3, p is a vertex
+    In 2D the monotone chain gives it directly.  In any other d, p is a vertex
     iff it uniquely minimizes some c over the points, iff the lifted point
     (p, -sum(p)) uniquely minimizes (c + b, b) > 0 for a large b, iff that
     lifted point is a vertex of the Newton polyhedron of the lifted points.
@@ -58,9 +57,7 @@ def hull(points, dim):
         if len(p) != dim:
             raise DimensionMismatchError(
                 f"point {p} has length {len(p)}, expected {dim}")
-    if dim == 1:
-        verts = {min(pts), max(pts)}
-    elif dim == 2:
+    if dim == 2:
         verts = set(_hull_2d(pts))
     else:
         lifted = NewtonPolyhedron(dim + 1, tuple(p + (-sum(p),) for p in pts))
@@ -392,8 +389,7 @@ def colon_factorization_2d(I):
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
-    if not is_integrally_closed(I):
-        raise ValueError("input must be integrally closed")
+    _require_closed(I, "input")
     coeffs = decompose_2d(group_element(hull(I.gens, 2)))
     num_factors = []
     for B, c in coeffs.items():

@@ -9,11 +9,12 @@ test every candidate divisor in full, with no facet or variable shortcut.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from icm.feasibility import feasible_nonneg
 from icm.ideals import MonomialIdeal, ord_valuation
-from icm.monoid import closed_supersets, star
+from icm.monoid import closed_supersets, divides, star
 
 
 def minimal_by_pairs(points, dim):
@@ -150,3 +151,22 @@ def irreducible_by_search(I):
     return not any(divides_by_search(J, I) is not None
                    for J in closed_supersets(I, budget=None)
                    if 1 <= ord_valuation(J) < o)
+
+
+@cache
+def factorizations_by_search(I):
+    """Every multiset of atoms whose star product is I, by exhaustive search.
+
+    A split of I is a closed J >= I, neither I nor the unit, that divides
+    I; every star factor has its generators in I's box, so the closed
+    supersets of I are all the candidates.  An atom is an ideal with no
+    split, and each factorization is an atom A dividing I times one of
+    I / A.  No facet prune, variable split or two-variable theorem is used.
+    """
+    found = set()
+    for J in closed_supersets(I, budget=None):
+        K = None if J == I or J.is_unit else divides(J, I)
+        if K is not None and factorizations_by_search(J) == {(J,)}:
+            found |= {tuple(sorted((J,) + fz, key=lambda a: a.gens))
+                      for fz in factorizations_by_search(K)}
+    return found or {(I,)}

@@ -18,7 +18,7 @@ from icm.parsing import parse_ideal
 from icm.polytopes import (class_equal_ideal, colon_factorization_2d,
                            ideal_class, ideal_to_polytope, phi)
 from icm.properties import (POLYTOPE_SUITES, run_suites, random_closed_ideal)
-from oracles import closure_lp, divides_by_search
+from oracles import closure_lp, divides_by_search, factorizations_by_search
 
 
 def report(number, description, ok):
@@ -97,11 +97,15 @@ def test_criterion_4_m_not_prime():
 
 
 def test_criterion_5_zariski_uniqueness_2d():
+    # the library reads 2D atoms and uniqueness off Zariski's theorem; an
+    # exhaustive search that knows no theorem proves both on every ideal
     bad = []
     for I in closed_ideals_in_box(5):
         if I.is_unit:
             continue
-        if len(all_factorizations(I)) != 1:
+        searched = factorizations_by_search(I)
+        if (all_factorizations(I) != searched or len(searched) != 1
+                or is_star_irreducible(I) != (searched == {(I,)})):
             bad.append(I)
     report(5, "unique factorization in 2 vars, box (5,5)", not bad)
 

@@ -55,6 +55,10 @@ class TestBasicCommands:
         code, out = run(capsys, "factorizations", "x^2,x*y,y^2")
         assert (code, out["result"]["count"]) == (0, "1")
 
+    def test_factorizations_high_power(self, capsys):
+        code, out = run(capsys, "factorizations", "x^1200")
+        assert (code, out["result"]["count"]) == (0, "1")
+
     def test_irreducible(self, capsys):
         code, out = run(capsys, "irreducible?", "x,y")
         assert (code, out["result"]["irreducible"]) == (0, True)

@@ -10,11 +10,11 @@ from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
-from icm.newton import facet_normals, is_integrally_closed
+from icm.newton import facet_normals, integral_closure, is_integrally_closed
 from icm.parsing import parse_ideal
 from icm.properties import random_closed_ideal
-from oracles import (closure_lp, divides_by_search, irreducible_by_search,
-                     is_facet)
+from oracles import (closure_lp, divides_by_search, factorizations_by_search,
+                     irreducible_by_search, is_facet)
 
 
 def ideal(*gens):
@@ -112,6 +112,15 @@ class TestIrreducible:
         for I in closed:
             assert is_star_irreducible(I) == irreducible_by_search(I), I
 
+    def test_2d_atom_needs_no_search(self):
+        # one Newton polygon edge from (0, b) to (a, 0): an atom iff
+        # gcd(a, b) = 1, so only the gcd-2 ideal still searches
+        assert is_star_irreducible(integral_closure(ideal((5, 0), (0, 4))),
+                                   budget=SearchBudget(0))
+        with pytest.raises(BudgetExceededError):
+            is_star_irreducible(integral_closure(ideal((4, 0), (0, 6))),
+                                budget=SearchBudget(0))
+
     def test_budget_exceeded_is_distinct(self):
         # a budget of one covers only the first candidate, I itself
         with pytest.raises(BudgetExceededError):
@@ -161,13 +170,13 @@ class TestFactorAtoms:
         assert not is_star_irreducible(I, budget=SearchBudget(0))
 
     def test_variable_factor_leaves_one_search(self):
-        # y * A for an atom A: only the proof that A is an atom searches
-        A = ideal((0, 4), (2, 3), (3, 2), (4, 1), (5, 0))
+        # z * A for an atom A: only the proof that A is an atom searches
+        A = parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z")
         alone, joint = SearchBudget(None), SearchBudget(None)
         assert is_star_irreducible(A, budget=alone)
-        f = factor_atoms(ideal(*[(a, b + 1) for a, b in A.gens]),
+        f = factor_atoms(ideal(*[(a, b, c + 1) for a, b, c in A.gens]),
                          budget=joint)
-        assert f.atoms == (ideal((0, 1)), A)
+        assert f.atoms == (ideal((0, 0, 1)), A)
         assert joint.examined == alone.examined > 0
 
 
@@ -208,6 +217,23 @@ class TestAllFactorizations:
     def test_unit_rejected(self):
         with pytest.raises(ValueError):
             all_factorizations(unit_ideal(2))
+
+    def test_high_powers_need_no_search(self):
+        # unique in one and two variables, so no level of the search runs
+        x, y = principal_ideal((1,)), ideal((0, 1))
+        assert all_factorizations(principal_ideal((1200,)),
+                                  budget=SearchBudget(0)) == {(x,) * 1200}
+        assert all_factorizations(principal_ideal((3, 1500)),
+                                  budget=SearchBudget(0)) == {
+            (y,) * 1500 + (ideal((1, 0)),) * 3}
+
+    def test_against_search_oracle_3d(self):
+        # the production search, prune and variable split included
+        closed = [J for J in closed_supersets(principal_ideal((2, 1, 1)),
+                                              budget=None) if not J.is_unit]
+        assert len(closed) == 48
+        for I in closed:
+            assert all_factorizations(I) == factorizations_by_search(I), I
 
     def test_lipman_search_work(self):
         # pins the enumeration: the facet prune skips divisions only

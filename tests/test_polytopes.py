@@ -4,7 +4,7 @@ import pytest
 
 from icm.errors import DimensionMismatchError
 from icm.ideals import MonomialIdeal, unit_ideal
-from icm.monoid import star
+from icm.monoid import closed_supersets, factor_atoms, star
 from icm.newton import integral_closure
 from icm.polytopes import (BasisElement, basis_segment, basis_triangle,
                            class_equal, class_equal_ideal,
@@ -259,3 +259,17 @@ class TestColonFactorization:
         I = ideal((2, 3))
         f = colon_factorization_2d(I)
         assert f.evaluate() == I
+
+    def test_agrees_with_factor_atoms(self):
+        # phi of the polygon's basis decomposition and the monoid's
+        # factorization name the same atoms, on every closed ideal in the box
+        x, y = ideal((1, 0)), ideal((0, 1))
+        for I in closed_supersets(ideal((6, 6)), budget=None):
+            if I.is_unit:
+                continue
+            f = colon_factorization_2d(I)
+            atoms = ([x] * f.num_monomial[0] + [y] * f.num_monomial[1]
+                     + [integral_closure(ideal((a, 0), (0, b)))
+                        for a, b in f.num_factors])
+            assert factor_atoms(I).atoms == tuple(
+                sorted(atoms, key=lambda a: a.gens)), I
