@@ -2,7 +2,8 @@
 Newton polyhedra, and the 2D integral polytope group."""
 
 from .errors import (BudgetExceededError, DimensionMismatchError,
-                     IdealParseError, NotStarMultipleError)
+                     IdealParseError, NotIntegrallyClosedError,
+                     NotStarMultipleError)
 from .ideals import (MonomialIdeal, colon, contains, intersection, minimalize,
                      normalize_translation, ord_valuation, principal_ideal,
                      product, translate, unit_ideal)

@@ -9,6 +9,10 @@ class NotStarMultipleError(ValueError):
     """Cancellation was requested against an ideal that is not a star factor."""
 
 
+class NotIntegrallyClosedError(ValueError):
+    """A monoid query got an ideal that is not integrally closed."""
+
+
 class BudgetExceededError(RuntimeError):
     """A bounded search ran out of budget before reaching an answer.
 

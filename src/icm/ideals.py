@@ -9,14 +9,17 @@ ideal is not representable (constructors reject empty generator sets).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from itertools import product as iter_product
+from math import inf, prod
+from operator import ge
 
 from .errors import DimensionMismatchError
 
 
 def dominates(a, b):
     """True iff a >= b componentwise."""
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 @dataclass(frozen=True)
@@ -37,13 +40,16 @@ class MonomialIdeal:
                 raise ValueError(f"negative exponent in generator {g}")
         if any(g >= h for g, h in zip(self.gens, self.gens[1:])):
             raise ValueError("generators must be stored sorted, without repeats")
-        # Of two distinct generators, the one dominating has the larger degree.
-        degrees = [sum(g) for g in self.gens]
-        for g, dg in zip(self.gens, degrees):
-            for h, dh in zip(self.gens, degrees):
-                if dh < dg and dominates(g, h):
+        # Of two distinct generators, the one dominating has the larger
+        # degree, so each is compared only with those of lower degree.
+        lower = []
+        for _, same in groupby(sorted(self.gens, key=sum), key=sum):
+            same = list(same)
+            for g, h in iter_product(same, lower):
+                if dominates(g, h):
                     raise ValueError(
                         f"generators are not an antichain: {g} dominates {h}")
+            lower += same
 
     @property
     def is_unit(self):
@@ -97,15 +103,49 @@ def intersection(I, J):
     return minimalize(lcms, I.dim)
 
 
+def staircase(axes, k, own):
+    """Minimal points of an up-set, walked along axis k; the coordinates
+    of its minimal points lie on the given sorted axes.  Columns u (all
+    axes but k) go in lex order, and own(u) is the least x_k of a point
+    in column u, or inf.  With top(u) = min(own(u), top(u - e_j)), u - e_j
+    one axis value back, (u, own(u)) is minimal iff own(u) < top(u - e_j)
+    for every j.  Those lie at most one slab (one first coordinate) back,
+    so only a ring of one slab of tops is held."""
+    cols = axes[:k] + axes[k + 1:]
+    strides = [prod(map(len, cols[j + 1:])) for j in range(len(cols))]
+    size = prod(map(len, cols[1:]))
+    ring = [inf] * size
+    for n, cell in enumerate(iter_product(*map(enumerate, cols))):
+        below = min((ring[(n - s) % size]
+                     for (i, _), s in zip(cell, strides) if i), default=inf)
+        u = tuple(x for _, x in cell)
+        t = own(u)
+        if t < below:
+            yield u[:k] + (t,) + u[k:]
+            below = t
+        ring[n % size] = below
+
+
 def colon(I, J):
-    """Colon ideal I : J, computed generator by generator of J."""
+    """Colon ideal I : J, the intersection over g in J of the ideals
+    generated by the max(h - g, 0), h in I.  A coordinate of a minimal
+    generator is one of those values, so the staircase walks only their
+    grid: the cost tracks |I|*|J| per column, not the generator box."""
     _check_dims(I, J)
-    result = None
-    for g in J.gens:
-        shifted = {tuple(max(a - b, 0) for a, b in zip(h, g)) for h in I.gens}
-        part = minimalize(shifted, I.dim)
-        result = part if result is None else intersection(result, part)
-    return result
+    shifted = [{tuple(max(a - b, 0) for a, b in zip(h, g)) for h in I.gens}
+               for g in J.gens]
+    axes = [sorted({s[j] for part in shifted for s in part})
+            for j in range(I.dim)]
+    k = max(range(I.dim), key=lambda j: len(axes[j]))
+    parts = [sorted((s[k], s[:k] + s[k + 1:]) for s in part)
+             for part in shifted]
+
+    def lowest(u):
+        """Least x_k with (u, x_k) in every shifted ideal."""
+        return max(next((t for t, s in part if dominates(u, s)), inf)
+                   for part in parts)
+
+    return MonomialIdeal(I.dim, tuple(sorted(staircase(axes, k, lowest))))
 
 
 def contains(I, a):

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
-from .errors import BudgetExceededError, NotStarMultipleError
+from .errors import (BudgetExceededError, NotIntegrallyClosedError,
+                     NotStarMultipleError)
 from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
                      generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
@@ -66,24 +67,22 @@ def quotient_cancel(S, K):
     return H
 
 
-def closed_supersets(I, budget=None):
-    """All integrally closed J >= I with minimal generators in box(I).
+def _supersets(I, budget):
+    """All J >= I with minimal generators in box(I), closed or not, each
+    charged to the budget before it is yielded.
 
     Such J correspond to up-sets of the box containing the exponent set of
     I; the excluded region is a down-set of the box complement of I, which
     is enumerated by its antichain of maximal elements.
     """
-    budget = _as_budget(budget)
     complement = sorted((p for p in box_points(generator_box(I))
                          if not contains(I, p)), key=lambda p: (sum(p), p))
 
     def rec(start, chosen, down):
         budget.spend()
         # a minimal point of box - down inside I is a generator of I
-        J = minimalize(I.gens + tuple(p for p in complement
-                                      if p not in down), I.dim)
-        if is_integrally_closed(J):
-            yield J
+        yield minimalize(I.gens + tuple(p for p in complement
+                                        if p not in down), I.dim)
         for i in range(start, len(complement)):
             p = complement[i]
             # p follows each chosen c in (degree, p) order, so p <= c fails
@@ -94,17 +93,26 @@ def closed_supersets(I, budget=None):
     yield from rec(0, [], set())
 
 
+def closed_supersets(I, budget=None):
+    """All integrally closed J >= I with minimal generators in box(I)."""
+    for J in _supersets(I, _as_budget(budget)):
+        if is_integrally_closed(J):
+            yield J
+
+
 def _divisor_pairs(I, budget, ord_lo, ord_hi):
     """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi.
 
     The face of NP(J) + NP(K) in direction c is the sum of the faces of
     NP(J) and NP(K), so a facet normal of J is one of I; a J with any
-    other facet normal is skipped without a colon or a closure.
+    other facet normal is skipped without a colon or a closure.  The ord
+    and facet tests are cheaper than the closedness walk, so they go first.
     """
     normals = facet_normals(I)
-    for J in closed_supersets(I, budget):
+    for J in _supersets(I, budget):
         if (ord_lo <= ord_valuation(J) <= ord_hi
-                and facet_normals(J) <= normals):
+                and facet_normals(J) <= normals
+                and is_integrally_closed(J)):
             K = divides(J, I)
             if K is not None:
                 yield J, K
@@ -114,7 +122,7 @@ def _require_closed(I, name="ideal"):
     """The monoid's elements are the closed ideals; a search over anything
     else would answer silently for an ideal outside it."""
     if not is_integrally_closed(I):
-        raise ValueError(f"{name} must be integrally closed")
+        raise NotIntegrallyClosedError(f"{name} must be integrally closed")
 
 
 def _proper_split(I, budget):

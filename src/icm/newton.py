@@ -6,19 +6,21 @@ cached half-space description that holds only the facets, with primitive
 integer normals.  2D facets are read off the lower convex chain; in every
 other dimension they come from the double description method.  Vertices
 and equality are read off the facets, so no LP runs.  Integral closure
-walks the generator box column by column and reads each column's lowest
-point of NP(I) off the facets.  The tests check the description against
-an independent rational LP and a rank test of each facet.
+is a staircase walk of the generator box that reads each column's lowest
+point of NP(I) off the facets and yields the minimal generators alone.
+The tests check the description against an independent rational LP and
+a rank test of each facet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
+from operator import mul
 
 from .errors import DimensionMismatchError
-from .ideals import box_points, generator_box, minimalize
+from .ideals import MonomialIdeal, generator_box, minimalize, staircase
 
 
 @dataclass(frozen=True)
@@ -181,43 +183,35 @@ def _facet_inequalities(points, dim):
     return _double_description(pts, dim)
 
 
-def _closure_gaps(I):
-    """The lowest point of NP(I) outside I in each column of the box.
-
-    Minimal generators of the closure lie in the box bounded by the
-    componentwise maxima of the generators.  The box is walked column by
-    column along its longest axis k: in the column over u, the points of I
-    are those with x_k >= top, the least x_k of a generator below u, and
-    the points of NP(I) those with x_k >= lo, read off the facets.  Every
-    other gap in the column lies above (u, lo), so only it can be minimal.
-    """
+def _closure_generators(I):
+    """The minimal lattice points of NP(I), all in the generator box, by
+    a staircase walk along its longest axis k.  A column u's lowest point
+    is the largest ceil((m - c.u) / c_k) over the facets c.x >= m with
+    c_k > 0, unless a facet with c_k = 0 excludes the whole column."""
     box = generator_box(I)
     k = max(range(I.dim), key=box.__getitem__)
-    facets = _facet_inequalities(I.gens, I.dim)
-    for u in box_points(box[:k] + box[k + 1:]):
-        top = min((g[k] for g in I.gens
-                   if all(a <= b for a, b in zip(g[:k] + g[k + 1:], u))),
-                  default=box[k] + 1)
-        p = u[:k] + (0,) + u[k:]
+    facets = [(c[:k] + c[k + 1:], c[k], m)
+              for c, m in _facet_inequalities(I.gens, I.dim)]
+
+    def lowest(u):
         lo = 0
-        for c, m in facets:
-            rest = m - sum(a * b for a, b in zip(c, p))
-            if c[k]:
-                lo = max(lo, -(-rest // c[k]))
+        for c, ck, m in facets:
+            rest = m - sum(map(mul, c, u))
+            if ck:
+                lo = max(lo, -(-rest // ck))
             elif rest > 0:
-                break
-        else:
-            if lo < top:
-                yield u[:k] + (lo,) + u[k:]
+                return inf
+        return lo
+
+    return staircase([range(b + 1) for b in box], k, lowest)
 
 
 def integral_closure(I):
     """Closure of a monomial ideal: minimal lattice points of NP(I)."""
-    added = list(_closure_gaps(I))
-    if not added:
-        return I
-    return minimalize(I.gens + tuple(added), I.dim)
+    return MonomialIdeal(I.dim, tuple(sorted(_closure_generators(I))))
 
 
 def is_integrally_closed(I):
-    return next(_closure_gaps(I), None) is None
+    """Each generator of the closure is one of I; stops at the first not."""
+    gens = set(I.gens)
+    return all(p in gens for p in _closure_generators(I))

@@ -1,10 +1,11 @@
 """Slow, independent reference routes that the tests check the library against.
 
 The library answers Newton-polyhedron questions from a half-space
-description, divisibility by cancellation and minimal generators by a sweep
-in degree order; these oracles answer the same questions by rational LP
-feasibility, by exhaustive search and by comparing all pairs instead, and
-check a claimed facet by the rank of its tight directions.  The searches
+description, divisibility by cancellation, minimal generators by a sweep
+in degree order and colon ideals by a staircase walk; these oracles answer
+the same questions by rational LP feasibility, by exhaustive search, by
+comparing all pairs and by intersecting shifted ideals instead, and check
+a claimed facet by the rank of its tight directions.  The searches
 test every candidate divisor in full, with no facet or variable shortcut.
 """
 
@@ -24,6 +25,18 @@ def minimal_by_pairs(points, dim):
                if not any(q != p and all(a >= b for a, b in zip(p, q))
                           for q in pts)]
     return MonomialIdeal(dim, tuple(sorted(minimal)))
+
+
+def colon_by_intersection(I, J):
+    """I : J as the intersection over g in J of the shifted ideals
+    (max(h - g, 0) : h in I), each intersection by pairwise lcms."""
+    result = None
+    for g in J.gens:
+        part = {tuple(max(a - b, 0) for a, b in zip(h, g)) for h in I.gens}
+        result = part if result is None else {
+            tuple(map(max, p, q)) for p in result for q in part}
+        result = minimal_by_pairs(result, I.dim).gens
+    return MonomialIdeal(I.dim, result)
 
 
 def member_lp(points, q):

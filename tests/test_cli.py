@@ -124,7 +124,7 @@ class TestExitCodes:
 
     def test_precondition_violation(self, capsys):
         code, out = run(capsys, "irreducible?", "x^2,y^2")
-        assert code == 2
+        assert (code, out) == (2, {"error": "ideal must be integrally closed"})
 
     def test_unreadable_json_document(self, capsys, tmp_path):
         code, out = run(capsys, "--json", "closure",

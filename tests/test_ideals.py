@@ -7,7 +7,7 @@ from icm.ideals import (MonomialIdeal, colon, contains, generator_box,
                         intersection, minimalize, normalize_translation,
                         ord_valuation, principal_ideal, product, translate,
                         unit_ideal)
-from oracles import minimal_by_pairs
+from oracles import colon_by_intersection, minimal_by_pairs
 
 
 def ideal(*gens):
@@ -107,6 +107,25 @@ class TestColon:
                 expected = all(contains(I, (a + g[0], b + g[1]))
                                for g in J.gens)
                 assert contains(Q, (a, b)) == expected
+
+    def test_against_intersection_oracle(self):
+        # seeded pairs in d = 1-4; some use exponents up to 10^6, where
+        # only a handful of the box's values can be generator coordinates
+        rng = random.Random(13)
+        for case in range(400):
+            dim = 1 + case % 4
+            top = 10 ** 6 if case % 5 == 0 else 6
+            I, J = (minimalize([tuple(rng.randint(0, top) for _ in range(dim))
+                                for _ in range(rng.randint(1, 5))], dim)
+                    for _ in range(2))
+            assert colon(I, J) == colon_by_intersection(I, J), (I, J)
+
+    def test_sparse_box(self):
+        # the generator box has 10^18 points; the walk visits a 3x3 grid
+        n = 10 ** 6
+        I = ideal((n, 0, 0), (0, n, 0), (0, 0, n))
+        assert colon(I, ideal((1, 1, 0))) == ideal(
+            (n - 1, 0, 0), (0, n - 1, 0), (0, 0, n))
 
     def test_colon_of_product_contains_left_factor(self):
         I = ideal((2, 1), (0, 3))

@@ -3,7 +3,9 @@ from itertools import product as iproduct
 
 import pytest
 
-from icm.errors import BudgetExceededError, NotStarMultipleError
+from icm import monoid
+from icm.errors import (BudgetExceededError, NotIntegrallyClosedError,
+                        NotStarMultipleError)
 from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
                         unit_ideal)
 from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
@@ -12,6 +14,7 @@ from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
                         star_power)
 from icm.newton import facet_normals, integral_closure, is_integrally_closed
 from icm.parsing import parse_ideal
+from icm.polytopes import colon_factorization_2d
 from icm.properties import random_closed_ideal
 from oracles import (closure_lp, divides_by_search, factorizations_by_search,
                      irreducible_by_search, is_facet)
@@ -193,9 +196,15 @@ class TestRejectsUnclosed:
     def test_raises_without_search(self, fn, I):
         assert not is_integrally_closed(I)
         budget = SearchBudget(None)
-        with pytest.raises(ValueError, match="integrally closed"):
+        with pytest.raises(NotIntegrallyClosedError,
+                           match="ideal must be integrally closed"):
             fn(I, budget=budget)
         assert budget.examined == 0
+
+    def test_colon_factorization_2d(self):
+        with pytest.raises(NotIntegrallyClosedError,
+                           match="input must be integrally closed"):
+            colon_factorization_2d(ideal((2, 0), (0, 2)))
 
 
 class TestAllFactorizations:
@@ -243,6 +252,24 @@ class TestAllFactorizations:
         found = all_factorizations(L, budget=budget)
         assert budget.examined == 425
         assert {len(fz) for fz in found} == {2, 3}
+
+    def test_lipman_walks_few_candidates(self, monkeypatch):
+        # the ord and facet-normal tests run before the closedness walk,
+        # so most of the 425 candidates are never walked
+        walks = []
+
+        def counted(I):
+            walks.append(I)
+            return is_integrally_closed(I)
+
+        monkeypatch.setattr(monoid, "is_integrally_closed", counted)
+        L = star(parse_ideal("x,y,z"),
+                 parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
+        budget = SearchBudget(None)
+        found = all_factorizations(L, budget=budget)
+        assert budget.examined == 425
+        assert {len(fz) for fz in found} == {2, 3}
+        assert len(walks) <= 100
 
 
 class TestDivisorPairs:

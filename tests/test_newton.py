@@ -222,6 +222,13 @@ class TestIntegralClosure:
         assert len(gens) == 351
         assert all(sum(g) == 25 for g in gens)
 
+    def test_equal_degree_cube(self):
+        # 7,381 generators, all of one degree, built without minimalizing
+        I = ideal((120, 0, 0), (0, 120, 0), (0, 0, 120))
+        gens = integral_closure(I).gens
+        assert len(gens) == 7381
+        assert all(sum(g) == 120 for g in gens)
+
     def test_long_axis(self):
         I = ideal((100000, 0), (0, 3))
         assert integral_closure(I).gens == (
