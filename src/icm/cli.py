@@ -140,7 +140,7 @@ def _cmd_divides(args):
 def _cmd_decompose2d(args):
     pos = hull(parse_points(args.pos, dim=2), 2)
     neg = hull(parse_points(args.neg, dim=2), 2) if args.neg else None
-    coeffs = decompose_2d(group_element(pos, neg))
+    coeffs = decompose_2d(group_element(pos, neg), budget=args.budget)
     items = sorted(((B.kind, B.v, c) for B, c in coeffs.items()))
     return {"coefficients": [{"kind": kind, "v": list(v), "coeff": c}
                              for kind, v, c in items]}
@@ -206,7 +206,8 @@ def build_parser():
     parser.add_argument("--dim", type=_int_at_least(1), default=None,
                         help="ambient dimension (default: inferred)")
     parser.add_argument("--budget", default=None,
-                        help="search budget for factorization commands "
+                        help="budget for factorization searches and "
+                             "decompose2d's reconstruction check "
                              f"(default: $ICM_BUDGET, else {DEFAULT_BUDGET})")
     parser.add_argument("--json", action="store_true",
                         help="treat ideal arguments as IdealDocument "

@@ -5,7 +5,8 @@ differences of translation classes; ideal classes are formal fractions of
 integrally closed monomial ideals modulo monomial factors.  The 2D basis
 consists of primitive segments and their shadows (right triangles), and
 decomposition works on the counterclockwise edge-vector multiset, which is
-additive under Minkowski sums.
+additive under Minkowski sums; a 2D Minkowski sum is computed that way, by
+merging the two edge cycles in angle order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError
 from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
                      translate, unit_ideal)
 from .monoid import _require_closed, star
@@ -34,14 +35,6 @@ class IntegralPolytope:
                     f"vertex {v} has length {len(v)}, expected {self.dim}")
 
 
-def _hull_2d(points):
-    """The ccw vertex cycle of conv(points), collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) == 1:
-        return pts
-    return convex_chain(pts)[:-1] + convex_chain(pts[::-1])[:-1]
-
-
 def hull(points, dim):
     """Vertex set of conv(points), exactly.
 
@@ -58,19 +51,67 @@ def hull(points, dim):
             raise DimensionMismatchError(
                 f"point {p} has length {len(p)}, expected {dim}")
     if dim == 2:
-        verts = set(_hull_2d(pts))
+        verts = set(convex_chain(pts)) | set(convex_chain(pts[::-1]))
     else:
         lifted = NewtonPolyhedron(dim + 1, tuple(p + (-sum(p),) for p in pts))
         verts = {v[:dim] for v in vertices(lifted)}
     return IntegralPolytope(dim, tuple(sorted(verts)))
 
 
+def _ccw_edges(points):
+    """The lex-least vertex of conv(points) and its ccw boundary edges from
+    there, in two runs: the lower chain's edges, which point lex-upward,
+    then the upper chain's, which point lex-downward.  The directions of a
+    run lie in one half-open half-plane, so a cross product orders them by
+    angle.  A segment has one edge in each run, a point none.
+    """
+    pts = sorted(set(points))
+    return pts[0], [[(q[0] - p[0], q[1] - p[1]) for p, q in zip(c, c[1:])]
+                    for c in (convex_chain(pts), convex_chain(pts[::-1]))]
+
+
+def _merge_run(a, b):
+    """Two angle-sorted edge runs of one half-plane, merged in angle order
+    with parallel edges joined."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ax, ay), (bx, by) = a[i], b[j]
+        turn = ax * by - ay * bx
+        if turn > 0:
+            out.append(a[i])
+            i += 1
+        elif turn < 0:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((ax + bx, ay + by))
+            i += 1
+            j += 1
+    return out + a[i:] + b[j:]
+
+
 def p_mink_sum(P, Q):
-    """Minkowski sum of bounded polytopes."""
+    """Minkowski sum of bounded polytopes.
+
+    In 2D the edge cycle of P + Q from the sum of the lex-least vertices
+    is the angle-order merge of the edge cycles of P and Q, run by run
+    (see _ccw_edges).  Other dimensions hull the pairwise vertex sums.
+    """
     if P.dim != Q.dim:
         raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
-    return hull({tuple(a + b for a, b in zip(p, q))
-                 for p in P.verts for q in Q.verts}, P.dim)
+    if P.dim != 2:
+        return hull({tuple(a + b for a, b in zip(p, q))
+                     for p in P.verts for q in Q.verts}, P.dim)
+    (x, y), runs_p = _ccw_edges(P.verts)
+    (qx, qy), runs_q = _ccw_edges(Q.verts)
+    x, y = x + qx, y + qy
+    verts = [(x, y)]
+    for a, b in zip(runs_p, runs_q):
+        for dx, dy in _merge_run(a, b):
+            x, y = x + dx, y + dy
+            verts.append((x, y))
+    return IntegralPolytope(2, tuple(sorted(verts[:-1] or verts)))
 
 
 def translate_polytope(P, shift):
@@ -183,16 +224,19 @@ def _check_primitive_upper(v):
 def basis_segment(v):
     """conv{0, v} for a primitive upper-half direction v."""
     v = _check_primitive_upper(v)
-    return hull({(0, 0), v}, 2)
+    return IntegralPolytope(2, tuple(sorted({(0, 0), v})))
 
 
 def basis_triangle(v):
     """The shadow of conv{0, v}, translation-normalized; needs both
-    coordinates nonzero, otherwise the shadow stays 1-dimensional."""
+    coordinates nonzero, otherwise the shadow stays 1-dimensional.  As
+    v[1] > 0 the shadow is conv{0, v, (v[0], 0)}, and all three are
+    vertices."""
     v = _check_primitive_upper(v)
     if v[0] == 0 or v[1] == 0:
         raise ValueError(f"shadow of segment {v} is degenerate, not a triangle")
-    return normalize_polytope(shadow(hull({(0, 0), v}, 2)))
+    return normalize_polytope(IntegralPolytope(2, tuple(sorted(
+        {(0, 0), v, (v[0], 0)}))))
 
 
 def edge_vector_counts(P):
@@ -201,14 +245,11 @@ def edge_vector_counts(P):
     directions, a point not at all."""
     if P.dim != 2:
         raise DimensionMismatchError("edge counts are a 2D notion")
-    cyc = _hull_2d(P.verts)
     counts = {}
-    if len(cyc) == 1:
-        return counts
-    for p, q in zip(cyc, cyc[1:] + cyc[:1]):
-        w = (q[0] - p[0], q[1] - p[1])
-        u, length = _primitive(w)
-        counts[u] = counts.get(u, 0) + length
+    for run in _ccw_edges(P.verts)[1]:
+        for w in run:
+            u, length = _primitive(w)
+            counts[u] = counts.get(u, 0) + length
     return counts
 
 
@@ -220,13 +261,16 @@ def _triangle_axis_edges(v):
     return {(1, 0): -a, (0, -1): b}
 
 
-def decompose_2d(e):
+def decompose_2d(e, budget=None):
     """Integer coefficients over the segment/triangle basis.
 
     Every non-axis direction pair is covered by exactly one segment and one
     triangle hypotenuse, so those coefficients read off directly; axis
     directions are settled afterwards by the two axis segments.  The
-    reconstruction identity is re-checked before returning.
+    reconstruction identity is re-checked before returning; it adds one
+    basis copy per unit of coefficient, and BudgetExceededError is raised
+    before it starts if those copies number more than budget (None: no
+    bound).
     """
     if e.dim != 2:
         raise DimensionMismatchError("basis decomposition is implemented in 2D")
@@ -262,15 +306,28 @@ def decompose_2d(e):
     if axis_residual[(0, 1)]:
         coeffs[BasisElement("segment", (0, 1))] = axis_residual[(0, 1)]
 
+    copies = sum(map(abs, coeffs.values()))
+    if budget is not None and copies > budget:
+        raise BudgetExceededError(
+            f"reconstruction budget of {budget} basis copies exceeded",
+            examined=copies)
     if not _reconstructs(e, coeffs):
         raise AssertionError("basis decomposition failed its reconstruction check")
     return coeffs
 
 
 def _reconstructs(e, coeffs):
-    """left = sum of positive parts + e.neg, right = negative parts + e.pos."""
-    left = e.neg
-    right = e.pos
+    """left = sum of positive parts + e.neg, right = negative parts + e.pos.
+
+    Copies are added one at a time through p_mink_sum, the group's own
+    addition, rather than as c times the basis vertices, so the check
+    does not rest on c * B being B + ... + B.  Its cost grows with the
+    sum of |c|, which the benchmark's oversized-decompose probe uses as
+    its deliberately slow op; decompose_2d's budget bounds it instead.
+    """
+    origin = point_polytope(2)  # adding it reduces a side to its vertices
+    left = p_mink_sum(e.neg, origin)
+    right = p_mink_sum(e.pos, origin)
     for B, c in coeffs.items():
         P = B.polytope()
         for _ in range(abs(c)):

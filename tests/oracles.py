@@ -2,10 +2,11 @@
 
 The library answers Newton-polyhedron questions from a half-space
 description, divisibility by cancellation, minimal generators by a sweep
-in degree order and colon ideals by a staircase walk; these oracles answer
-the same questions by rational LP feasibility, by exhaustive search, by
-comparing all pairs and by intersecting shifted ideals instead, and check
-a claimed facet by the rank of its tight directions.  The searches
+in degree order, colon ideals by a staircase walk and 2D Minkowski sums by
+merging edge cycles; these oracles answer the same questions by rational
+LP feasibility, by exhaustive search, by comparing all pairs, by
+intersecting shifted ideals and by hulling all pairwise sums instead, and
+check a claimed facet by the rank of its tight directions.  The searches
 test every candidate divisor in full, with no facet or variable shortcut.
 """
 
@@ -112,6 +113,13 @@ def hull_vertices_lp(points):
         if not others or not feasible_nonneg(rows, list(p) + [1]):
             verts.add(p)
     return verts
+
+
+def mink_sum_lp(P, Q):
+    """Vertex set of conv(P) + conv(Q): every pairwise sum of the points,
+    reduced by the LP hull test."""
+    return hull_vertices_lp({tuple(a + b for a, b in zip(p, q))
+                             for p in P for q in Q})
 
 
 def closure_lp(I):

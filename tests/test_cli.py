@@ -161,6 +161,12 @@ class TestExitCodes:
         assert code == 3
         assert int(out["examined"]) >= 1
 
+    def test_decompose2d_budget_exceeded(self, capsys):
+        # coefficients summing to 2,000,001 copies, past the default budget
+        code, out = run(capsys, "decompose2d", "0,0; 1000000,1; 1,1000000")
+        assert code == 3
+        assert out["examined"] == "2000001"
+
     def test_unknown_verify_target(self, capsys):
         code, out = run(capsys, "verify", "nope")
         assert code == 2

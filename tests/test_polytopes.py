@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from icm.errors import DimensionMismatchError
+from icm import polytopes
+from icm.errors import BudgetExceededError, DimensionMismatchError
 from icm.ideals import MonomialIdeal, unit_ideal
 from icm.monoid import closed_supersets, factor_atoms, star
 from icm.newton import integral_closure
-from icm.polytopes import (BasisElement, basis_segment, basis_triangle,
-                           class_equal, class_equal_ideal,
+from icm.polytopes import (BasisElement, IntegralPolytope, basis_segment,
+                           basis_triangle, class_equal, class_equal_ideal,
                            colon_factorization_2d, decompose_2d,
                            edge_vector_counts, group_add, group_element,
                            group_negate, height, hull, ideal_class,
-                           ideal_to_polytope, p_mink_sum, phi, phi_group,
-                           point_polytope, shadow, translate_polytope)
-from oracles import hull_vertices_lp
+                           ideal_to_polytope, normalize_polytope, p_mink_sum,
+                           phi, phi_group, point_polytope, shadow,
+                           translate_polytope)
+from oracles import hull_vertices_lp, mink_sum_lp
 
 
 def ideal(*gens):
@@ -50,6 +52,65 @@ class TestHull:
                     for k in range(rng.randint(0, 3))]  # collinear run
             pts += rng.choices(pts, k=rng.randint(0, 2))  # repeats
             assert set(hull(pts, dim).verts) == hull_vertices_lp(pts), pts
+
+
+def raw_polygon(rng, kind):
+    """A 2D polytope built straight from point tuples, as the constructor
+    allows: unsorted, with repeats and non-vertices.  kind 0 is a point,
+    1 a segment, 2 a collinear run and 3 a scatter with a collinear run;
+    coordinates go negative."""
+    pts = [(rng.randint(-6, 6), rng.randint(-6, 6))]
+    if kind == 3:
+        pts += [(rng.randint(-6, 6), rng.randint(-6, 6))
+                for _ in range(rng.randint(1, 5))]
+    if kind >= 1:
+        p, step = rng.choice(pts), (rng.randint(-3, 3), rng.randint(-3, 3))
+        pts += [(p[0] + k * step[0], p[1] + k * step[1])
+                for k in range(1, 2 if kind == 1 else rng.randint(3, 5))]
+    pts += rng.choices(pts, k=rng.randint(0, 2))
+    rng.shuffle(pts)
+    return IntegralPolytope(2, tuple(pts))
+
+
+def lp_normalized(points):
+    """Vertex set of conv(points) by LP, translated to the orthant corner."""
+    verts = hull_vertices_lp(points)
+    low = [min(v[k] for v in verts) for k in range(2)]
+    return {(v[0] - low[0], v[1] - low[1]) for v in verts}
+
+
+class TestMinkowskiSum:
+    def test_2d_against_lp_oracle(self):
+        rng = random.Random(41)
+        for k in range(320):
+            P, Q = raw_polygon(rng, k % 4), raw_polygon(rng, k // 4 % 4)
+            S = p_mink_sum(P, Q)
+            assert S.verts == tuple(sorted(S.verts))
+            assert set(S.verts) == mink_sum_lp(P.verts, Q.verts), (P, Q)
+
+    def test_3d_against_lp_oracle(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            P, Q = [IntegralPolytope(3, tuple(
+                tuple(rng.randint(-2, 2) for _ in range(3))
+                for _ in range(rng.randint(1, 4)))) for _ in range(2)]
+            assert set(p_mink_sum(P, Q).verts) == mink_sum_lp(P.verts,
+                                                              Q.verts)
+
+    def test_2d_paths_never_hull(self, monkeypatch):
+        # a silent fallback to pairwise sums and a second hull would show
+        # here as a call, with no timing involved
+        rng = random.Random(47)
+        pairs = [(raw_polygon(rng, k % 4), raw_polygon(rng, k // 4))
+                 for k in range(16)]
+        calls = []
+        real = polytopes.hull
+        monkeypatch.setattr(polytopes, "hull",
+                            lambda *args: calls.append(args) or real(*args))
+        for P, Q in pairs:
+            p_mink_sum(P, Q)
+            decompose_2d(group_element(P, Q))
+        assert calls == []
 
 
 class TestHeightShadow:
@@ -109,6 +170,12 @@ class TestBasisElements:
 
     def test_triangle_up_left(self):
         assert basis_triangle((-1, 1)).verts == ((0, 0), (0, 1), (1, 0))
+
+    @pytest.mark.parametrize("v", [(1, 1), (-1, 1), (3, 2), (-2, 5),
+                                   (7, 1), (-1, 4)])
+    def test_triangle_is_normalized_shadow(self, v):
+        assert basis_triangle(v) == normalize_polytope(
+            shadow(hull({(0, 0), v}, 2)))
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +237,35 @@ class TestDecompose2d:
         square = hull({(0, 0), (1, 0), (0, 1), (1, 1)}, 2)
         e = group_element(square, basis_segment((1, 0)))
         assert decompose_2d(e) == {BasisElement("segment", (0, 1)): 1}
+
+    def test_non_vertex_input(self):
+        e = group_element(IntegralPolytope(2, ((2, 0), (0, 0), (1, 0))))
+        assert decompose_2d(e) == {BasisElement("segment", (1, 0)): 2}
+
+    def test_reconstruction_by_lp_oracle(self):
+        # rebuilds the coefficients with c * B as scaled vertices and the
+        # LP Minkowski sum, sharing no code with the edge merge
+        rng = random.Random(53)
+        for k in range(50):
+            P = raw_polygon(rng, 3)
+            e = group_element(P, raw_polygon(rng, k % 4)) if k % 2 else \
+                group_element(P)
+            left, right = e.neg.verts, e.pos.verts
+            for B, c in decompose_2d(e).items():
+                part = [(abs(c) * a, abs(c) * b) for a, b in B.polytope().verts]
+                if c > 0:
+                    left = mink_sum_lp(left, part)
+                else:
+                    right = mink_sum_lp(right, part)
+            assert lp_normalized(left) == lp_normalized(right), e
+
+    def test_budget_bounds_the_copies(self):
+        e = group_element(hull({(0, 0), (3, 0), (0, 2)}, 2))
+        copies = sum(map(abs, decompose_2d(e).values()))
+        assert decompose_2d(e, budget=copies) == decompose_2d(e)
+        with pytest.raises(BudgetExceededError) as info:
+            decompose_2d(e, budget=copies - 1)
+        assert info.value.examined == copies
 
 
 class TestPhi:
