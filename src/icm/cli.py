@@ -50,6 +50,17 @@ def _load_ideal(text, args):
     return parse_ideal(text, dim=args.dim)
 
 
+def _load_ideals(args):
+    """The left and right ideals.  As text without --dim, both take the
+    dimension of the largest variable index in either; a JSON document
+    keeps its own vars."""
+    I, J = _load_ideal(args.left, args), _load_ideal(args.right, args)
+    if args.json or args.dim is not None or I.dim == J.dim:
+        return I, J
+    dim = max(I.dim, J.dim)
+    return parse_ideal(args.left, dim=dim), parse_ideal(args.right, dim=dim)
+
+
 def _parse_budget(text):
     """The --budget flag, else ICM_BUDGET, else the default; a count >= 0."""
     if text is None:
@@ -89,8 +100,7 @@ def _cmd_closed(args):
 
 
 def _cmd_star(args):
-    I = _load_ideal(args.left, args)
-    J = _load_ideal(args.right, args)
+    I, J = _load_ideals(args)
     return ideal_to_document(star(I, J))
 
 
@@ -100,8 +110,7 @@ def _cmd_ord(args):
 
 
 def _cmd_colon(args):
-    I = _load_ideal(args.left, args)
-    J = _load_ideal(args.right, args)
+    I, J = _load_ideals(args)
     return ideal_to_document(colon(I, J))
 
 
@@ -128,8 +137,7 @@ def _cmd_irreducible(args):
 
 
 def _cmd_divides(args):
-    I = _load_ideal(args.left, args)
-    J = _load_ideal(args.right, args)
+    I, J = _load_ideals(args)
     _require_closed(I, "divisor")
     _require_closed(J, "dividend")
     K = divides(I, J, budget=args.budget)

@@ -6,7 +6,10 @@ Divisor searches, which still find each split, exploit three facts: any
 star factor J of I satisfies J >= I (as ideals) with minimal generators
 inside the generator box of I; ord is additive, so factor searches are
 finite; and NP(I) is the Minkowski sum of its factors' Newton polyhedra,
-so every facet normal of a star factor is a facet normal of the product.
+so a star factor's facet normals are the product's, and each vertex of
+NP(I) is a vertex of NP(J) plus one of NP(K).  Divisibility, closedness
+of J and the cofactor are therefore all read off NP(I)'s one facet
+description (_Dividend); divides runs the same test on its dividend.
 All searches carry an explicit budget; running out raises
 BudgetExceededError rather than returning a wrong negative.
 """
@@ -16,14 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from operator import le, mul
 
-from .errors import (BudgetExceededError, NotIntegrallyClosedError,
-                     NotStarMultipleError)
-from .ideals import (MonomialIdeal, box_points, colon, contains, dominates,
+from .errors import (BudgetExceededError, DimensionMismatchError,
+                     NotIntegrallyClosedError, NotStarMultipleError)
+from .ideals import (MonomialIdeal, box_points, contains, dominates,
                      generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
-from .newton import (convex_chain, facet_normals, integral_closure,
-                     is_integrally_closed)
+from .newton import (convex_chain, facets, integral_closure,
+                     is_integrally_closed, lattice_generators, np_of,
+                     vertices)
 
 DEFAULT_BUDGET = 500_000
 
@@ -100,22 +105,69 @@ def closed_supersets(I, budget=None):
             yield J
 
 
+class _Dividend:
+    """What a divisibility test reads of a closed ideal I: its facets
+    c.x >= m, each vertex v of NP(I) with its slacks c.v - m, and its box.
+
+    For any J, let h_J(c) be the least value of c on J and K the lattice
+    points of {x >= 0 : c.x >= m - h_J(c)}.  Then J·K lies in NP(I), hence
+    in I, so star(J, K) == I iff every vertex of NP(I) lies in J·K; K is
+    then the cofactor, J's facet normals are I's, and P(h_J) = {x >= 0 :
+    c.x >= h_J(c)} is NP(J).  One facet description, I's, decides every J.
+    """
+
+    def __init__(self, I):
+        self.facets = facets(I)
+        self.box = generator_box(I)
+        self.vertex_slacks = [
+            (v, [sum(map(mul, c, v)) - m for c, m in self.facets])
+            for v in sorted(vertices(np_of(I)))]
+
+    def support(self, J):
+        """h_J on I's facet normals if J star-divides I, else None.
+
+        A vertex v of NP(I) lies in J·K iff some generator g <= v of J
+        exceeds h_J on each facet by at most v's slack there.  The slack is
+        0 on the facets tight at v, so g attains h_J on all of them: the
+        normal fan of NP(J) is coarser than that of NP(I).
+        """
+        values = [[sum(map(mul, c, g)) for c, _ in self.facets]
+                  for g in J.gens]
+        h = list(map(min, zip(*values)))
+        excess = [(g, [a - b for a, b in zip(row, h)])
+                  for g, row in zip(J.gens, values)]
+        if all(any(dominates(v, g) and all(map(le, e, slack))
+                   for g, e in excess) for v, slack in self.vertex_slacks):
+            return h
+        return None
+
+    def is_closed(self, J, h):
+        """Whether a J that divides I, with h = support(J), is closed: iff
+        the walk of P(h_J) = NP(J) yields only generators of J."""
+        gens = set(J.gens)
+        return all(p in gens for p in lattice_generators(
+            [(c, t) for (c, _), t in zip(self.facets, h)], generator_box(J)))
+
+    def cofactor(self, h):
+        """The K with star(J, K) == I for a J with h = support(J); its
+        vertices are summands of vertices of NP(I), so it lies in I's box."""
+        return MonomialIdeal(len(self.box), tuple(sorted(lattice_generators(
+            [(c, m - t) for (c, m), t in zip(self.facets, h)], self.box))))
+
+
 def _divisor_pairs(I, budget, ord_lo, ord_hi):
     """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi.
 
-    The face of NP(J) + NP(K) in direction c is the sum of the faces of
-    NP(J) and NP(K), so a facet normal of J is one of I; a J with any
-    other facet normal is skipped without a colon or a closure.  The ord
-    and facet tests are cheaper than the closedness walk, so they go first.
+    Each candidate is decided from I's facets and vertices (_Dividend):
+    the ord test, then divisibility, then closedness, then the cofactor,
+    so no candidate gets a facet description, colon or closure of its own.
     """
-    normals = facet_normals(I)
+    dividend = _Dividend(I)
     for J in _supersets(I, budget):
-        if (ord_lo <= ord_valuation(J) <= ord_hi
-                and facet_normals(J) <= normals
-                and is_integrally_closed(J)):
-            K = divides(J, I)
-            if K is not None:
-                yield J, K
+        if ord_lo <= ord_valuation(J) <= ord_hi:
+            h = dividend.support(J)
+            if h is not None and dividend.is_closed(J, h):
+                yield J, dividend.cofactor(h)
 
 
 def _require_closed(I, name="ideal"):
@@ -143,12 +195,19 @@ def _proper_split(I, budget):
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    By cancellation, closure(HK) : K = closure(H), so if I divides J at all,
-    the colon J : I is the cofactor; no search runs.  The budget keyword is
-    kept because callers pass one to every monoid query; it is never spent.
+    Every star product is closed, so a J that is not has no divisor.  For
+    a closed J, K is read off J's facets (see _Dividend): by cancellation
+    it is J : I, and no colon, product or closure runs.  I need not be
+    closed.  The budget keyword is kept because callers pass one to every
+    monoid query; it is never spent.
     """
-    K = colon(J, I)
-    return K if star(I, K) == J else None
+    if I.dim != J.dim:
+        raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
+    if not is_integrally_closed(J):
+        return None
+    dividend = _Dividend(J)
+    h = dividend.support(I)
+    return None if h is None else dividend.cofactor(h)
 
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):

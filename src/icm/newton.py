@@ -88,9 +88,14 @@ def np_equal(P, Q):
             == set(_facet_inequalities(Q.points, Q.dim)))
 
 
+def facets(I):
+    """The facets c.x >= m of NP(I), as (primitive normal c, m) pairs."""
+    return _facet_inequalities(I.gens, I.dim)
+
+
 def facet_normals(I):
     """The set of primitive facet normals of NP(I)."""
-    return frozenset(c for c, _ in _facet_inequalities(I.gens, I.dim))
+    return frozenset(c for c, _ in facets(I))
 
 
 def convex_chain(points):
@@ -183,19 +188,18 @@ def _facet_inequalities(points, dim):
     return _double_description(pts, dim)
 
 
-def _closure_generators(I):
-    """The minimal lattice points of NP(I), all in the generator box, by
-    a staircase walk along its longest axis k.  A column u's lowest point
-    is the largest ceil((m - c.u) / c_k) over the facets c.x >= m with
-    c_k > 0, unless a facet with c_k = 0 excludes the whole column."""
-    box = generator_box(I)
-    k = max(range(I.dim), key=box.__getitem__)
-    facets = [(c[:k] + c[k + 1:], c[k], m)
-              for c, m in _facet_inequalities(I.gens, I.dim)]
+def lattice_generators(facets, box):
+    """The minimal lattice points of {x >= 0 : c.x >= m for each (c, m) in
+    facets} whose coordinates other than the walked one lie in box, by a
+    staircase walk along the box's longest axis k.  A column u's lowest
+    point is the largest ceil((m - c.u) / c_k) over the facets with
+    c_k > 0, unless one with c_k = 0 excludes the whole column."""
+    k = max(range(len(box)), key=box.__getitem__)
+    rows = [(c[:k] + c[k + 1:], c[k], m) for c, m in facets]
 
     def lowest(u):
         lo = 0
-        for c, ck, m in facets:
+        for c, ck, m in rows:
             rest = m - sum(map(mul, c, u))
             if ck:
                 lo = max(lo, -(-rest // ck))
@@ -204,6 +208,12 @@ def _closure_generators(I):
         return lo
 
     return staircase([range(b + 1) for b in box], k, lowest)
+
+
+def _closure_generators(I):
+    """The minimal lattice points of NP(I); all lie in the generator box."""
+    return lattice_generators(_facet_inequalities(I.gens, I.dim),
+                              generator_box(I))
 
 
 def integral_closure(I):

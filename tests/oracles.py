@@ -1,12 +1,13 @@
 """Slow, independent reference routes that the tests check the library against.
 
 The library answers Newton-polyhedron questions from a half-space
-description, divisibility by cancellation, minimal generators by a sweep
-in degree order, colon ideals by a staircase walk and 2D Minkowski sums by
-merging edge cycles; these oracles answer the same questions by rational
-LP feasibility, by exhaustive search, by comparing all pairs, by
-intersecting shifted ideals and by hulling all pairwise sums instead, and
-check a claimed facet by the rank of its tight directions.  The searches
+description, divisibility from the dividend's facets and vertices,
+minimal generators by a sweep in degree order, colon ideals by a staircase
+walk and 2D Minkowski sums by merging edge cycles; these oracles answer
+the same questions by rational LP feasibility, by exhaustive search or
+by a colon and a star product, by comparing all pairs, by intersecting
+shifted ideals and by hulling all pairwise sums instead, and check a
+claimed facet by the rank of its tight directions.  The searches
 test every candidate divisor in full, with no facet or variable shortcut.
 """
 
@@ -14,9 +15,10 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
+from icm.errors import DimensionMismatchError
 from icm.feasibility import feasible_nonneg
 from icm.ideals import MonomialIdeal, ord_valuation
-from icm.monoid import closed_supersets, divides, star
+from icm.monoid import closed_supersets, star
 
 
 def minimal_by_pairs(points, dim):
@@ -150,6 +152,17 @@ def closure_lp(I):
     return minimal_by_pairs(lowest, I.dim)
 
 
+def divides_by_colon(I, J):
+    """The K with star(I, K) == J, or None, by cancellation: if I divides
+    J at all, closure(HK) : K = closure(H) makes the colon J : I the
+    cofactor.  The colon is the pairwise-lcm intersection, and star checks
+    the answer; nothing is read off a facet description of J."""
+    if I.dim != J.dim:
+        raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
+    K = colon_by_intersection(J, I)
+    return K if star(I, K) == J else None
+
+
 def divides_by_search(I, J):
     """A closed K with star(I, K) == J, found by exhaustive search, or None.
 
@@ -186,7 +199,7 @@ def factorizations_by_search(I):
     """
     found = set()
     for J in closed_supersets(I, budget=None):
-        K = None if J == I or J.is_unit else divides(J, I)
+        K = None if J == I or J.is_unit else divides_by_colon(J, I)
         if K is not None and factorizations_by_search(J) == {(J,)}:
             found |= {tuple(sorted((J,) + fz, key=lambda a: a.gens))
                       for fz in factorizations_by_search(K)}

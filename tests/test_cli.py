@@ -110,6 +110,37 @@ class TestInputModes:
         code, out = run(capsys, "--dim", "3", "ord", "x,y")
         assert out["result"]["ord"] == "1"
 
+    @pytest.mark.parametrize("argv, gens", [
+        (["star", "x", "y"], [["1", "1"]]),
+        (["star", "y", "x"], [["1", "1"]]),
+        (["colon", "x^2,y", "x"], [["0", "1"], ["1", "0"]]),
+        (["colon", "x", "z"], [["1", "0", "0"]]),
+    ], ids=["star-x-y", "star-y-x", "colon", "colon-3d"])
+    def test_two_ideals_share_the_largest_index(self, capsys, argv, gens):
+        code, out = run(capsys, *argv)
+        assert (code, out["result"]["gens"]) == (0, gens)
+        assert out["result"]["vars"] == str(len(gens[0]))
+
+    def test_divides_shares_the_largest_index(self, capsys):
+        code, out = run(capsys, "divides", "x", "x^2,y")
+        assert (code, out["result"]["divides"]) == (0, False)
+        code, out = run(capsys, "divides", "x", "x^2,x*y")
+        assert (code, out["result"]["divides"]) == (0, True)
+        assert out["result"]["cofactor"] == {
+            "gens": [["0", "1"], ["1", "0"]], "vars": "2"}
+
+    def test_dim_flag_applies_to_both_ideals(self, capsys):
+        code, out = run(capsys, "--dim", "3", "star", "x", "y")
+        assert (code, out["result"]) == (
+            0, {"gens": [["1", "1", "0"]], "vars": "3"})
+
+    def test_json_documents_keep_their_vars(self, capsys, tmp_path):
+        left, right = tmp_path / "left.json", tmp_path / "right.json"
+        left.write_text(json.dumps({"vars": 1, "gens": [[1]]}))
+        right.write_text(json.dumps({"vars": 2, "gens": [[0, 1]]}))
+        code, out = run(capsys, "--json", "star", str(left), str(right))
+        assert (code, out) == (2, {"error": "dimensions differ: 1 vs 2"})
+
     def test_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ICM_BUDGET", "1")
         code, _ = run(capsys, "factorizations", "x^9,x*y,y^9")

@@ -4,20 +4,22 @@ from itertools import product as iproduct
 import pytest
 
 from icm import monoid
-from icm.errors import (BudgetExceededError, NotIntegrallyClosedError,
-                        NotStarMultipleError)
+from icm.errors import (BudgetExceededError, DimensionMismatchError,
+                        NotIntegrallyClosedError, NotStarMultipleError)
 from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
                         unit_ideal)
 from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
-from icm.newton import facet_normals, integral_closure, is_integrally_closed
+from icm.newton import (_facet_inequalities, facet_normals,
+                        integral_closure, is_integrally_closed)
 from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
 from icm.properties import random_closed_ideal
-from oracles import (closure_lp, divides_by_search, factorizations_by_search,
-                     irreducible_by_search, is_facet)
+from oracles import (closure_lp, divides_by_colon, divides_by_search,
+                     factorizations_by_search, irreducible_by_search,
+                     is_facet, vertices_lp)
 
 
 def ideal(*gens):
@@ -89,6 +91,43 @@ class TestDivides:
         for I in closed:
             for J in closed:
                 assert divides(I, J) == divides_by_search(I, J), (I, J)
+
+    def test_against_colon_oracle(self):
+        # every pair of closed ideals with generators in [0,3] x [0,2],
+        # and every pair of non-unit closed ones in [0,2] x [0,1] x [0,1]
+        closed = list(closed_supersets(principal_ideal((3, 2)), budget=None))
+        assert len(closed) ** 2 == 961
+        closed_3d = [J for J in closed_supersets(principal_ideal((2, 1, 1)),
+                                                 budget=None)
+                     if not J.is_unit]
+        assert len(closed_3d) == 48
+        for family in (closed, closed_3d):
+            for I in family:
+                for J in family:
+                    assert divides(I, J) == divides_by_colon(I, J), (I, J)
+
+    def test_non_closed_dividend(self):
+        # a star product is closed, so (x^2, y^2) has no divisor at all
+        J = ideal((2, 0), (0, 2))
+        for I in (unit_ideal(2), M2, J):
+            assert divides(I, J) is None
+            assert divides_by_colon(I, J) is None
+
+    def test_non_closed_divisor(self):
+        # (x^2, y^2) has the Newton polygon of (x, y)^2, so it divides
+        # that square and the (x, y)^3 beyond it
+        I = ideal((2, 0), (0, 2))
+        for J in (M2SQ, star(M2SQ, M2)):
+            K = divides(I, J)
+            assert K is not None and star(I, K) == J
+            assert K == divides_by_colon(I, J)
+        assert divides(I, M2) is None
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            divides(M2, ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(DimensionMismatchError):
+            divides_by_colon(M2, ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 class TestIrreducible:
@@ -253,23 +292,17 @@ class TestAllFactorizations:
         assert budget.examined == 425
         assert {len(fz) for fz in found} == {2, 3}
 
-    def test_lipman_walks_few_candidates(self, monkeypatch):
-        # the ord and facet-normal tests run before the closedness walk,
-        # so most of the 425 candidates are never walked
-        walks = []
-
-        def counted(I):
-            walks.append(I)
-            return is_integrally_closed(I)
-
-        monkeypatch.setattr(monoid, "is_integrally_closed", counted)
+    def test_lipman_walks_few_candidates(self):
+        # each divisor search reads its candidates off the dividend's one
+        # facet description, so none of the 425 candidates gets its own
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
+        _facet_inequalities.cache_clear()
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
         assert budget.examined == 425
         assert {len(fz) for fz in found} == {2, 3}
-        assert len(walks) <= 100
+        assert _facet_inequalities.cache_info().misses <= 10
 
 
 class TestDivisorPairs:
@@ -279,7 +312,7 @@ class TestDivisorPairs:
         # enumeration with each candidate divided and none pruned
         closed = list(closed_supersets(principal_ideal(corner), budget=None))
         for I in closed:
-            pairs = [(J, divides(J, I))
+            pairs = [(J, divides_by_colon(J, I))
                      for J in closed_supersets(I, budget=None)]
             assert list(_divisor_pairs(
                 I, SearchBudget(None), 0, ord_valuation(I))) == [
@@ -301,6 +334,30 @@ class TestFacetsOfFactors:
             for c in facet_normals(J):
                 m = min(sum(a * b for a, b in zip(c, p)) for p in S)
                 assert is_facet(S, c, m), (J, K, c)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_vertex_cones_are_coarsened(self, dim):
+        # the divisibility test rests on this: each vertex of NP(star(J, K))
+        # is a vertex of NP(J) plus one of NP(K), so one generator of J
+        # minimizes every product facet tight at that vertex
+        rng = random.Random(40 + dim)
+        for _ in range(100):
+            J = random_closed_ideal(rng, dim)
+            K = random_closed_ideal(rng, dim)
+            S = star(J, K)
+            product_facets = []
+            for c in facet_normals(S):
+                m = min(sum(a * b for a, b in zip(c, p)) for p in S.gens)
+                assert is_facet(S.gens, c, m), (J, K, c)
+                product_facets.append((c, m))
+            for v in vertices_lp(S.gens):
+                tight = [c for c, m in product_facets
+                         if sum(a * b for a, b in zip(c, v)) == m]
+                assert any(
+                    all(sum(a * b for a, b in zip(c, g))
+                        == min(sum(a * b for a, b in zip(c, h))
+                               for h in J.gens) for c in tight)
+                    for g in J.gens), (J, K, v)
 
 
 class TestBudgetIgnoresHistory:
