@@ -7,9 +7,10 @@ star factor J of I satisfies J >= I (as ideals) with minimal generators
 inside the generator box of I; ord is additive, so factor searches are
 finite; and NP(I) is the Minkowski sum of its factors' Newton polyhedra,
 so a star factor's facet normals are the product's, and each vertex of
-NP(I) is a vertex of NP(J) plus one of NP(K).  Divisibility, closedness
-of J and the cofactor are therefore all read off NP(I)'s one facet
-description (_Dividend); divides runs the same test on its dividend.
+NP(I) is a vertex of NP(J) plus one of NP(K).  Divisibility and the
+cofactor are therefore both read off NP(I)'s one facet description
+(_Dividend), and only divisors are walked for closedness; divides runs
+the same test on its dividend.
 All searches carry an explicit budget; running out raises
 BudgetExceededError rather than returning a wrong negative.
 """
@@ -26,7 +27,7 @@ from .errors import (BudgetExceededError, DimensionMismatchError,
 from .ideals import (MonomialIdeal, box_points, contains, dominates,
                      generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
-from .newton import (convex_chain, facets, integral_closure,
+from .newton import (_facet_inequalities, convex_chain, integral_closure,
                      is_integrally_closed, lattice_generators, np_of,
                      vertices)
 
@@ -65,7 +66,7 @@ def star_power(I, n):
 
 
 def quotient_cancel(S, K):
-    """Recover H from S = star(H, K), constructively via the colon ideal."""
+    """Recover H from S = star(H, K), read off S's facets by divides."""
     H = divides(K, S)
     if H is None:
         raise NotStarMultipleError("ideal is not a star multiple of the divisor")
@@ -117,7 +118,7 @@ class _Dividend:
     """
 
     def __init__(self, I):
-        self.facets = facets(I)
+        self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
         self.vertex_slacks = [
             (v, [sum(map(mul, c, v)) - m for c, m in self.facets])
@@ -141,13 +142,6 @@ class _Dividend:
             return h
         return None
 
-    def is_closed(self, J, h):
-        """Whether a J that divides I, with h = support(J), is closed: iff
-        the walk of P(h_J) = NP(J) yields only generators of J."""
-        gens = set(J.gens)
-        return all(p in gens for p in lattice_generators(
-            [(c, t) for (c, _), t in zip(self.facets, h)], generator_box(J)))
-
     def cofactor(self, h):
         """The K with star(J, K) == I for a J with h = support(J); its
         vertices are summands of vertices of NP(I), so it lies in I's box."""
@@ -158,15 +152,16 @@ class _Dividend:
 def _divisor_pairs(I, budget, ord_lo, ord_hi):
     """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi.
 
-    Each candidate is decided from I's facets and vertices (_Dividend):
-    the ord test, then divisibility, then closedness, then the cofactor,
-    so no candidate gets a facet description, colon or closure of its own.
+    Each candidate meets the ord test, then divisibility, read off I's
+    facets and vertices (_Dividend), so only divisors of I reach the
+    closedness walk; the cofactor is read off I's facets too, and no
+    candidate gets a colon, product or closure.
     """
     dividend = _Dividend(I)
     for J in _supersets(I, budget):
         if ord_lo <= ord_valuation(J) <= ord_hi:
             h = dividend.support(J)
-            if h is not None and dividend.is_closed(J, h):
+            if h is not None and is_integrally_closed(J):
                 yield J, dividend.cofactor(h)
 
 

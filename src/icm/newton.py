@@ -88,14 +88,9 @@ def np_equal(P, Q):
             == set(_facet_inequalities(Q.points, Q.dim)))
 
 
-def facets(I):
-    """The facets c.x >= m of NP(I), as (primitive normal c, m) pairs."""
-    return _facet_inequalities(I.gens, I.dim)
-
-
 def facet_normals(I):
     """The set of primitive facet normals of NP(I)."""
-    return frozenset(c for c, _ in facets(I))
+    return frozenset(c for c, _ in _facet_inequalities(I.gens, I.dim))
 
 
 def convex_chain(points):
