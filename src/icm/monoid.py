@@ -2,25 +2,26 @@
 
 In two variables factorization is unique and the atoms are (x), (y) and
 closure(x^a, y^b), gcd(a, b) = 1 (Zariski), so neither needs a search.
-Divisor searches, which still find each split, exploit three facts: any
-star factor J of I satisfies J >= I (as ideals) with minimal generators
-inside the generator box of I; ord is additive, so factor searches are
-finite; and NP(I) is the Minkowski sum of its factors' Newton polyhedra,
-so a star factor's facet normals are the product's, and each vertex of
-NP(I) is a vertex of NP(J) plus one of NP(K).  Divisibility and the
-cofactor are therefore both read off NP(I)'s one facet description
-(_Dividend), and only divisors are walked for closedness; divides runs
-the same test on its dividend.
-All searches carry an explicit budget; running out raises
-BudgetExceededError rather than returning a wrong negative.
+A star divisor J of I contains I and has its generators in I's box, and
+ord is additive, so divisor searches are finite.  NP(J*K) = NP(J) + NP(K),
+so J's facet normals are I's and each vertex of NP(I) is a vertex of NP(J)
+plus one of the cofactor's: divisibility and the cofactor are read off
+I's one facet description (_Dividend), and only divisors are walked for
+closedness.  J is then fixed by its support vector h_J, its least values
+on I's facet normals c, since NP(J) = {x >= 0 : c.x >= h_J(c)} =: P(h_J);
+and h_{J*K} = h_J + h_K, since least values add under Minkowski sums.  The
+vectors lie in NP(I)'s type cone (McMullen 1973), where P(g) + P(h) =
+P(g + h), so for divisors J and K of I, J star-divides K iff h_K - h_J is
+a divisor's vector: d >= 3 factorization is one divisor search plus
+vector arithmetic.  All searches carry an explicit budget; running out
+raises BudgetExceededError rather than returning a wrong negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import gcd
-from operator import le, mul
+from operator import le, mul, sub
 
 from .errors import (BudgetExceededError, DimensionMismatchError,
                      NotIntegrallyClosedError, NotStarMultipleError)
@@ -59,6 +60,9 @@ def star(I, J):
 
 
 def star_power(I, n):
+    """I star-multiplied by itself n times; the monoid has no inverses."""
+    if n < 0:
+        raise ValueError("the monoid has no inverses, so n must be >= 0")
     result = unit_ideal(I.dim)
     for _ in range(n):
         result = star(result, I)
@@ -107,7 +111,7 @@ def closed_supersets(I, budget=None):
 
 
 class _Dividend:
-    """What a divisibility test reads of a closed ideal I: its facets
+    """What a divisibility test reads of a closed ideal I: I, its facets
     c.x >= m, each vertex v of NP(I) with its slacks c.v - m, and its box.
 
     For any J, let h_J(c) be the least value of c on J and K the lattice
@@ -118,6 +122,7 @@ class _Dividend:
     """
 
     def __init__(self, I):
+        self.I = I
         self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
         self.vertex_slacks = [
@@ -134,7 +139,7 @@ class _Dividend:
         """
         values = [[sum(map(mul, c, g)) for c, _ in self.facets]
                   for g in J.gens]
-        h = list(map(min, zip(*values)))
+        h = tuple(map(min, zip(*values)))
         excess = [(g, [a - b for a, b in zip(row, h)])
                   for g, row in zip(J.gens, values)]
         if all(any(dominates(v, g) and all(map(le, e, slack))
@@ -148,21 +153,15 @@ class _Dividend:
         return MonomialIdeal(len(self.box), tuple(sorted(lattice_generators(
             [(c, m - t) for (c, m), t in zip(self.facets, h)], self.box))))
 
-
-def _divisor_pairs(I, budget, ord_lo, ord_hi):
-    """(J, K) with star(J, K) == I and ord_lo <= ord(J) <= ord_hi.
-
-    Each candidate meets the ord test, then divisibility, read off I's
-    facets and vertices (_Dividend), so only divisors of I reach the
-    closedness walk; the cofactor is read off I's facets too, and no
-    candidate gets a colon, product or closure.
-    """
-    dividend = _Dividend(I)
-    for J in _supersets(I, budget):
-        if ord_lo <= ord_valuation(J) <= ord_hi:
-            h = dividend.support(J)
-            if h is not None and is_integrally_closed(J):
-                yield J, dividend.cofactor(h)
+    def divisors(self, budget, ord_lo, ord_hi):
+        """(J, h_J) for each closed divisor J of I with ord_lo <= ord(J) <=
+        ord_hi, in closed_supersets' order.  A candidate meets the ord test,
+        then support, so only divisors reach the closedness walk."""
+        for J in _supersets(self.I, budget):
+            if ord_lo <= ord_valuation(J) <= ord_hi:
+                h = self.support(J)
+                if h is not None and is_integrally_closed(J):
+                    yield J, h
 
 
 def _require_closed(I, name="ideal"):
@@ -176,15 +175,18 @@ def _proper_split(I, budget):
     """A split (J, K) of I into non-units, or None.  A variable x_i dividing
     I gives ((x_i), I / x_i) with no search.  Past that, a 2D I with one
     Newton polygon edge, from (0, b) to (a, 0), is closure(x^a, y^b): an
-    atom iff gcd(a, b) = 1 (Zariski).  Else the first _divisor_pairs."""
+    atom iff gcd(a, b) = 1 (Zariski).  Else the first proper divisor's."""
     o = ord_valuation(I)
     for e in (tuple(int(k == i) for k in range(I.dim)) for i in range(I.dim)):
         if o > 1 and all(dominates(g, e) for g in I.gens):
             return principal_ideal(e), translate(I, tuple(-x for x in e))
-    if (I.dim == 2 and len(convex_chain(I.gens)) == 2
+    if (o <= 1 or I.dim == 2 and len(convex_chain(I.gens)) == 2
             and gcd(I.gens[-1][0], I.gens[0][1]) == 1):
         return None
-    return next(_divisor_pairs(I, budget, 1, o - 1), None) if o > 1 else None
+    dividend = _Dividend(I)
+    for J, h in dividend.divisors(budget, 1, o - 1):
+        return J, dividend.cofactor(h)
+    return None
 
 
 def divides(I, J, budget=DEFAULT_BUDGET):
@@ -251,36 +253,37 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
 
 def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
-    In d <= 2 it is unique (Zariski): factor_atoms' answer; else a search."""
+    In d <= 2 it is unique (Zariski): factor_atoms' answer.  Else one
+    divisor search runs and its answers are factored as support vectors
+    (module docstring), the zero vector standing for the unit: an atom's
+    vector is no sum of two nonzero divisors' vectors, and a factorization
+    is a multiset of atom vectors summing to h_I, each partial sum of which
+    is a divisor's vector."""
     if I.dim <= 2:
         return {factor_atoms(I, budget).atoms}
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     _require_closed(I)
-    budget = _as_budget(budget)
+    dividend = _Dividend(I)
+    found = {h: J for J, h in dividend.divisors(
+        _as_budget(budget), 1, ord_valuation(I))}
+    unit = (0,) * len(dividend.facets)
+    found[unit] = unit_ideal(I.dim)
+
+    def minus(h, g):
+        return tuple(map(sub, h, g))
+
+    atoms = sorted(((J, h) for h, J in found.items() if h != unit and not any(
+        minus(h, g) in found for g in found if g not in (unit, h))),
+        key=lambda atom: atom[0].gens)
     results = set()
 
-    # Memos live for this call only, so the outcome under a given budget
-    # does not depend on what earlier calls searched.  Every candidate is
-    # closed by construction, so it needs no closedness test.
-    @cache
-    def irreducible(J):
-        return _proper_split(J, budget) is None
+    def rec(rest, start, chosen):
+        if rest == unit:
+            results.add(chosen)
+        for i, (A, h) in enumerate(atoms[start:], start):
+            if minus(rest, h) in found:
+                rec(minus(rest, h), i, chosen + (A,))
 
-    @cache
-    def atom_divisors(current):
-        """All (atom A, cofactor K) with star(A, K) == current."""
-        return [(J, K) for J, K in _divisor_pairs(
-                    current, budget, 1, ord_valuation(current))
-                if irreducible(J)]
-
-    def rec(current, chosen, min_key):
-        if current.is_unit:
-            results.add(tuple(chosen))
-            return
-        for A, K in atom_divisors(current):
-            if A.gens >= min_key:
-                rec(K, chosen + [A], A.gens)
-
-    rec(I, [], ((),))
+    rec(tuple(m for _, m in dividend.facets), 0, ())
     return results

@@ -88,11 +88,6 @@ def np_equal(P, Q):
             == set(_facet_inequalities(Q.points, Q.dim)))
 
 
-def facet_normals(I):
-    """The set of primitive facet normals of NP(I)."""
-    return frozenset(c for c, _ in _facet_inequalities(I.gens, I.dim))
-
-
 def convex_chain(points):
     """Andrew's monotone chain over points given in sorted order: the lower
     convex chain from the first point to the last, with strict turns only,

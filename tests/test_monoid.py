@@ -8,12 +8,12 @@ from icm.errors import (BudgetExceededError, DimensionMismatchError,
                         NotIntegrallyClosedError, NotStarMultipleError)
 from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
                         unit_ideal)
-from icm.monoid import (SearchBudget, _divisor_pairs, all_factorizations,
+from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
-from icm.newton import (_facet_inequalities, facet_normals,
-                        integral_closure, is_integrally_closed)
+from icm.newton import (_facet_inequalities, integral_closure,
+                        is_integrally_closed)
 from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
 from icm.properties import random_closed_ideal
@@ -46,6 +46,11 @@ class TestStar:
     def test_power(self):
         assert star_power(M2, 2) == M2SQ
         assert star_power(M2, 0) == unit_ideal(2)
+
+    def test_negative_power_rejected(self):
+        # the monoid has no inverses, so there is no I^-1 to power
+        with pytest.raises(ValueError):
+            star_power(M2, -1)
 
 
 class TestQuotientCancel:
@@ -275,32 +280,36 @@ class TestAllFactorizations:
                                   budget=SearchBudget(0)) == {
             (y,) * 1500 + (ideal((1, 0)),) * 3}
 
-    def test_against_search_oracle_3d(self):
-        # the production search, prune and variable split included
-        closed = [J for J in closed_supersets(principal_ideal((2, 1, 1)),
+    @pytest.mark.parametrize("corner, count", [
+        ((2, 1, 1), 48), ((2, 2, 1), 158), ((1, 1, 1, 1), 166)],
+        ids=["2,1,1", "2,2,1", "1,1,1,1"])
+    def test_against_search_oracle_3d(self, corner, count):
+        # every non-unit closed ideal under the corner, against the
+        # exhaustive search, which factors no support vectors
+        closed = [J for J in closed_supersets(principal_ideal(corner),
                                               budget=None) if not J.is_unit]
-        assert len(closed) == 48
+        assert len(closed) == count
         for I in closed:
             assert all_factorizations(I) == factorizations_by_search(I), I
 
     def test_lipman_search_work(self):
-        # pins the enumeration: the facet prune skips divisions only
+        # pins one divisor search: the 281 antichains of L's box complement
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 425
+        assert budget.examined == 281
         assert {len(fz) for fz in found} == {2, 3}
 
     def test_lipman_walks_few_candidates(self):
-        # each divisor search reads its candidates off the dividend's one
-        # facet description, so none of the 425 candidates gets its own
+        # the divisor search reads its candidates off the dividend's one
+        # facet description, so none of the 281 candidates gets its own
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
         _facet_inequalities.cache_clear()
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 425
+        assert budget.examined == 281
         assert {len(fz) for fz in found} == {2, 3}
         assert _facet_inequalities.cache_info().misses <= 10
 
@@ -314,9 +323,15 @@ class TestDivisorPairs:
         for I in closed:
             pairs = [(J, divides_by_colon(J, I))
                      for J in closed_supersets(I, budget=None)]
-            assert list(_divisor_pairs(
-                I, SearchBudget(None), 0, ord_valuation(I))) == [
+            dividend = _Dividend(I)
+            assert [(J, dividend.cofactor(h)) for J, h in dividend.divisors(
+                SearchBudget(None), 0, ord_valuation(I))] == [
                     (J, K) for J, K in pairs if K is not None], I
+
+
+def least(J, c):
+    """The least value of the linear form c on J's generators."""
+    return min(sum(a * b for a, b in zip(c, g)) for g in J.gens)
 
 
 class TestFacetsOfFactors:
@@ -331,9 +346,35 @@ class TestFacetsOfFactors:
             J = random_closed_ideal(rng, dim)
             K = random_closed_ideal(rng, dim)
             S = star(J, K).gens
-            for c in facet_normals(J):
+            for c, _ in _facet_inequalities(J.gens, dim):
                 m = min(sum(a * b for a, b in zip(c, p)) for p in S)
                 assert is_facet(S, c, m), (J, K, c)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_least_values_add(self, dim):
+        # factoring over support vectors rests on this: on each facet
+        # normal of the product, the factors' least values add
+        rng = random.Random(60 + dim)
+        for _ in range(100):
+            J = random_closed_ideal(rng, dim)
+            K = random_closed_ideal(rng, dim)
+            S = star(J, K)
+            for c, m in _facet_inequalities(S.gens, dim):
+                assert is_facet(S.gens, c, m), (J, K, c)
+                assert least(J, c) + least(K, c) == m, (J, K, c)
+
+    def test_lipman_divisors_have_distinct_vectors(self):
+        # closed ideals with the same least values on the facet normals
+        # of the ideal they divide have the same Newton polyhedron
+        L = star(parse_ideal("x,y,z"),
+                 parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
+        facets = _facet_inequalities(L.gens, 3)
+        assert all(is_facet(L.gens, c, m) for c, m in facets)
+        found = [J for J in closed_supersets(L, budget=None)
+                 if divides_by_colon(J, L) is not None]
+        assert len(found) == 10
+        assert len({tuple(least(J, c) for c, _ in facets)
+                    for J in found}) == len(found)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_vertex_cones_are_coarsened(self, dim):
@@ -346,8 +387,7 @@ class TestFacetsOfFactors:
             K = random_closed_ideal(rng, dim)
             S = star(J, K)
             product_facets = []
-            for c in facet_normals(S):
-                m = min(sum(a * b for a, b in zip(c, p)) for p in S.gens)
+            for c, m in _facet_inequalities(S.gens, dim):
                 assert is_facet(S.gens, c, m), (J, K, c)
                 product_facets.append((c, m))
             for v in vertices_lp(S.gens):
@@ -376,7 +416,10 @@ class TestBudgetIgnoresHistory:
     @pytest.mark.parametrize("fn, I, limit", [
         (is_star_irreducible, M2SQ, 1),
         (all_factorizations, ideal((3, 0), (1, 1), (0, 3)), 2),
-    ], ids=["is_star_irreducible", "all_factorizations"])
+        (all_factorizations, star(ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                  ideal((2, 0, 0), (0, 1, 0), (0, 0, 1))), 2),
+    ], ids=["is_star_irreducible", "all_factorizations",
+            "all_factorizations-3d"])
     def test_same_before_and_after_unbudgeted_call(self, fn, I, limit):
         before = self.outcome(fn, I, limit)
         fn(I, budget=None)
