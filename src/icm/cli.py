@@ -190,8 +190,7 @@ def _cmd_verify(args):
 
 def _cmd_props(args):
     names = args.suites if args.suites else None
-    report = run_suites(seed=args.seed, cases=args.cases,
-                        polytope_cases=min(args.cases, 100), names=names)
+    report = run_suites(seed=args.seed, cases=args.cases, names=names)
     ok = all(not r["failures"] for r in report.values())
     return {"seed": args.seed, "ok": ok, "suites": report}
 

@@ -2,31 +2,30 @@
 
 In two variables factorization is unique and the atoms are (x), (y) and
 closure(x^a, y^b), gcd(a, b) = 1 (Zariski), so neither needs a search.
-A star divisor J of I contains I and has its generators in I's box, and
-ord is additive, so divisor searches are finite.  NP(J*K) = NP(J) + NP(K),
-so J's facet normals are I's and each vertex of NP(I) is a vertex of NP(J)
-plus one of the cofactor's: divisibility and the cofactor are read off
-I's one facet description (_Dividend), and only divisors are walked for
-closedness.  J is then fixed by its support vector h_J, its least values
-on I's facet normals c, since NP(J) = {x >= 0 : c.x >= h_J(c)} =: P(h_J);
+NP(J*K) = NP(J) + NP(K), so J's facet normals are I's and each vertex of
+NP(I) is a vertex of NP(J) plus one of the cofactor's: divisibility and
+the cofactor are read off I's one facet description (_Dividend).  A
+closed divisor J is fixed by its support vector h_J, its least values on
+I's facet normals c, since NP(J) = {x >= 0 : c.x >= h_J(c)} =: P(h_J);
 and h_{J*K} = h_J + h_K, since least values add under Minkowski sums.  The
 vectors lie in NP(I)'s type cone (McMullen 1973), where P(g) + P(h) =
 P(g + h), so for divisors J and K of I, J star-divides K iff h_K - h_J is
-a divisor's vector: d >= 3 factorization is one divisor search plus
-vector arithmetic.  All searches carry an explicit budget; running out
-raises BudgetExceededError rather than returning a wrong negative.
+a divisor's vector.  The vectors are read off one lattice point below
+each vertex of NP(I) (_Dividend.divisors), so d >= 3 factorization is one
+finite search plus vector arithmetic.  Searches carry an explicit budget;
+running out raises BudgetExceededError, never a wrong negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from operator import le, mul, sub
 
-from .errors import (BudgetExceededError, DimensionMismatchError,
-                     NotIntegrallyClosedError, NotStarMultipleError)
-from .ideals import (MonomialIdeal, box_points, contains, dominates,
-                     generator_box, minimalize, ord_valuation,
+from .errors import (BudgetExceededError, NotIntegrallyClosedError,
+                     NotStarMultipleError)
+from .ideals import (MonomialIdeal, _check_dims, box_points, contains,
+                     dominates, generator_box, minimalize, ord_valuation,
                      principal_ideal, product, translate, unit_ideal)
 from .newton import (_facet_inequalities, convex_chain, integral_closure,
                      is_integrally_closed, lattice_generators, np_of,
@@ -36,7 +35,7 @@ DEFAULT_BUDGET = 500_000
 
 
 class SearchBudget:
-    """Counts candidate ideals examined across one search."""
+    """One unit per lattice point tried (closed_supersets: per candidate)."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -46,7 +45,7 @@ class SearchBudget:
         self.examined += 1
         if self.limit is not None and self.examined > self.limit:
             raise BudgetExceededError(
-                f"search budget of {self.limit} candidates exceeded",
+                f"search budget of {self.limit} exceeded",
                 examined=self.examined)
 
 
@@ -77,22 +76,23 @@ def quotient_cancel(S, K):
     return H
 
 
-def _supersets(I, budget):
-    """All J >= I with minimal generators in box(I), closed or not, each
-    charged to the budget before it is yielded.
-
-    Such J correspond to up-sets of the box containing the exponent set of
-    I; the excluded region is a down-set of the box complement of I, which
-    is enumerated by its antichain of maximal elements.
-    """
+def closed_supersets(I, budget=None):
+    """All integrally closed J >= I with minimal generators in box(I), each
+    candidate charged to the budget; no library query walks them.  Such J
+    are up-sets of the box containing I's exponents; the excluded region,
+    a down-set of I's box complement, is enumerated by its antichain of
+    maximal elements."""
+    budget = _as_budget(budget)
     complement = sorted((p for p in box_points(generator_box(I))
                          if not contains(I, p)), key=lambda p: (sum(p), p))
 
     def rec(start, chosen, down):
         budget.spend()
         # a minimal point of box - down inside I is a generator of I
-        yield minimalize(I.gens + tuple(p for p in complement
-                                        if p not in down), I.dim)
+        J = minimalize(I.gens + tuple(p for p in complement
+                                      if p not in down), I.dim)
+        if is_integrally_closed(J):
+            yield J
         for i in range(start, len(complement)):
             p = complement[i]
             # p follows each chosen c in (degree, p) order, so p <= c fails
@@ -103,15 +103,8 @@ def _supersets(I, budget):
     yield from rec(0, [], set())
 
 
-def closed_supersets(I, budget=None):
-    """All integrally closed J >= I with minimal generators in box(I)."""
-    for J in _supersets(I, _as_budget(budget)):
-        if is_integrally_closed(J):
-            yield J
-
-
 class _Dividend:
-    """What a divisibility test reads of a closed ideal I: I, its facets
+    """What a divisibility test reads of a closed ideal I: its facets
     c.x >= m, each vertex v of NP(I) with its slacks c.v - m, and its box.
 
     For any J, let h_J(c) be the least value of c on J and K the lattice
@@ -122,7 +115,6 @@ class _Dividend:
     """
 
     def __init__(self, I):
-        self.I = I
         self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
         self.vertex_slacks = [
@@ -147,21 +139,46 @@ class _Dividend:
             return h
         return None
 
-    def cofactor(self, h):
-        """The K with star(J, K) == I for a J with h = support(J); its
-        vertices are summands of vertices of NP(I), so it lies in I's box."""
+    def ideal(self, h):
+        """The lattice points of P(h); a divisor's lie in I's box."""
         return MonomialIdeal(len(self.box), tuple(sorted(lattice_generators(
-            [(c, m - t) for (c, m), t in zip(self.facets, h)], self.box))))
+            [(c, t) for (c, _), t in zip(self.facets, h)], self.box))))
 
-    def divisors(self, budget, ord_lo, ord_hi):
-        """(J, h_J) for each closed divisor J of I with ord_lo <= ord(J) <=
-        ord_hi, in closed_supersets' order.  A candidate meets the ord test,
-        then support, so only divisors reach the closedness walk."""
-        for J in _supersets(self.I, budget):
-            if ord_lo <= ord_valuation(J) <= ord_hi:
-                h = self.support(J)
-                if h is not None and is_integrally_closed(J):
-                    yield J, h
+    def cofactor(self, h):
+        """The K with star(J, K) == I for a J with h = support(J)."""
+        return self.ideal([m - t for (_, m), t in zip(self.facets, h)])
+
+    def divisors(self, budget):
+        """h_J for each closed divisor J = ideal(h_J) of I, the unit and I
+        included, each once.  A point q_v <= v is chosen per vertex v of
+        NP(I), each point tried charged to the budget; per facet c, lo is
+        the least c.q_v and hi the largest c.q_v - slack_v(c) so far, and a
+        choice goes on while hi <= lo.  A full one yields h = lo.
+
+        Exact by support's test alone: at a full choice each q_v exceeds h
+        by at most v's slacks, so minimalize({q_v}), whose least values are
+        h, divides I, and its closure is ideal(h).  A closed divisor J's
+        witnesses in support make a choice with hi <= h_J <= lo at every
+        prefix, and lo = h_J in full, as each facet is tight at a vertex,
+        where the witness attains h_J.  The facets tight at v have rank d
+        and c.q_v = h(c) on them, so h fixes q_v: no divisor comes twice.
+        Unbounded faces need no condition, since support's test has none."""
+        normals = [c for c, _ in self.facets]
+
+        def rec(i, lo, hi):
+            if i == len(self.vertex_slacks):
+                yield lo
+                return
+            v, slack = self.vertex_slacks[i]
+            for q in box_points(v):
+                budget.spend()
+                a = [sum(map(mul, c, q)) for c in normals]
+                lo_q = tuple(map(min, lo, a))
+                hi_q = tuple(map(max, hi, map(sub, a, slack)))
+                if all(map(le, hi_q, lo_q)):
+                    yield from rec(i + 1, lo_q, hi_q)
+
+        yield from rec(0, (inf,) * len(normals), (-inf,) * len(normals))
 
 
 def _require_closed(I, name="ideal"):
@@ -184,8 +201,10 @@ def _proper_split(I, budget):
             and gcd(I.gens[-1][0], I.gens[0][1]) == 1):
         return None
     dividend = _Dividend(I)
-    for J, h in dividend.divisors(budget, 1, o - 1):
-        return J, dividend.cofactor(h)
+    whole = tuple(m for _, m in dividend.facets)
+    for h in dividend.divisors(budget):
+        if any(h) and h != whole:
+            return dividend.ideal(h), dividend.cofactor(h)
     return None
 
 
@@ -198,8 +217,7 @@ def divides(I, J, budget=DEFAULT_BUDGET):
     closed.  The budget keyword is kept because callers pass one to every
     monoid query; it is never spent.
     """
-    if I.dim != J.dim:
-        raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
+    _check_dims(I, J)
     if not is_integrally_closed(J):
         return None
     dividend = _Dividend(J)
@@ -208,12 +226,10 @@ def divides(I, J, budget=DEFAULT_BUDGET):
 
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
-    """No pair of non-unit closed ideals star-multiplies to I.
-
-    Exhaustive over the finite divisor search space unless _proper_split
-    needs none; ord(I) == 1 is an immediate yes since ord is additive and
-    only the unit has ord 0.
-    """
+    """No pair of non-unit closed ideals star-multiplies to I: exhaustive
+    over the finite divisor search unless _proper_split needs none; ord(I)
+    == 1 is an immediate yes since ord is additive and only the unit has
+    ord 0."""
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
     _require_closed(I)
@@ -233,7 +249,7 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
     Deterministic: each split is _proper_split's, a variable dividing I or
-    the first proper divisor in closed_supersets' order; ord is additive.
+    the first proper divisor that _Dividend.divisors yields; ord is additive.
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
@@ -255,7 +271,7 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
     In d <= 2 it is unique (Zariski): factor_atoms' answer.  Else one
     divisor search runs and its answers are factored as support vectors
-    (module docstring), the zero vector standing for the unit: an atom's
+    (module docstring), the zero vector being the unit's: an atom's
     vector is no sum of two nonzero divisors' vectors, and a factorization
     is a multiset of atom vectors summing to h_I, each partial sum of which
     is a divisor's vector."""
@@ -265,17 +281,15 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
         raise ValueError("the unit ideal has no atomic factorization")
     _require_closed(I)
     dividend = _Dividend(I)
-    found = {h: J for J, h in dividend.divisors(
-        _as_budget(budget), 1, ord_valuation(I))}
+    found = set(dividend.divisors(_as_budget(budget)))
     unit = (0,) * len(dividend.facets)
-    found[unit] = unit_ideal(I.dim)
 
     def minus(h, g):
         return tuple(map(sub, h, g))
 
-    atoms = sorted(((J, h) for h, J in found.items() if h != unit and not any(
-        minus(h, g) in found for g in found if g not in (unit, h))),
-        key=lambda atom: atom[0].gens)
+    atoms = sorted(((dividend.ideal(h), h) for h in found if h != unit and not
+                    any(minus(h, g) in found for g in found - {unit, h})),
+                   key=lambda atom: atom[0].gens)
     results = set()
 
     def rec(rest, start, chosen):

@@ -20,7 +20,8 @@ from math import gcd, inf
 from operator import mul
 
 from .errors import DimensionMismatchError
-from .ideals import MonomialIdeal, generator_box, minimalize, staircase
+from .ideals import (MonomialIdeal, _check_dims, generator_box, minimalize,
+                     staircase)
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,7 @@ def reduce_points(P):
 
 def mink_sum(P, Q):
     """Minkowski sum, supported by the minimal pairwise point sums."""
-    if P.dim != Q.dim:
-        raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
+    _check_dims(P, Q)
     sums = {tuple(a + b for a, b in zip(p, q)) for p in P.points for q in Q.points}
     return NewtonPolyhedron(P.dim, minimalize(sums, P.dim).gens)
 
@@ -82,8 +82,7 @@ def mink_sum(P, Q):
 def np_equal(P, Q):
     """Equality as point sets.  A full-dimensional polyhedron has exactly
     one description by facets with primitive normals, so compare those."""
-    if P.dim != Q.dim:
-        raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
+    _check_dims(P, Q)
     return (set(_facet_inequalities(P.points, P.dim))
             == set(_facet_inequalities(Q.points, Q.dim)))
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError, DimensionMismatchError
-from .ideals import (MonomialIdeal, colon, minimalize, normalize_translation,
-                     translate, unit_ideal)
+from .ideals import (MonomialIdeal, _check_dims, colon, minimalize,
+                     normalize_translation, translate, unit_ideal)
 from .monoid import _require_closed, star
 from .newton import NewtonPolyhedron, convex_chain, integral_closure, vertices
 
@@ -98,8 +98,7 @@ def p_mink_sum(P, Q):
     is the angle-order merge of the edge cycles of P and Q, run by run
     (see _ccw_edges).  Other dimensions hull the pairwise vertex sums.
     """
-    if P.dim != Q.dim:
-        raise DimensionMismatchError(f"dimensions differ: {P.dim} vs {Q.dim}")
+    _check_dims(P, Q)
     if P.dim != 2:
         return hull({tuple(a + b for a, b in zip(p, q))
                      for p in P.verts for q in Q.verts}, P.dim)

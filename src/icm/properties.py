@@ -238,7 +238,7 @@ POLYTOPE_SUITES = {
 ALL_SUITES = {**MONOID_SUITES, **POLYTOPE_SUITES}
 
 
-def run_suites(seed=0, cases=200, polytope_cases=100, names=None):
+def run_suites(seed=0, cases=200, names=None):
     """Run the named suites (all by default); returns a report dict."""
     unknown = sorted(set(names or ()) - set(ALL_SUITES))
     if unknown:
@@ -247,7 +247,7 @@ def run_suites(seed=0, cases=200, polytope_cases=100, names=None):
     for name, fn in ALL_SUITES.items():
         if names is not None and name not in names:
             continue
-        n = polytope_cases if name in POLYTOPE_SUITES else cases
+        n = min(cases, 100) if name in POLYTOPE_SUITES else cases
         rng = random.Random(f"{seed}:{name}")
         failures = fn(rng, n)
         report[name] = {"cases": n, "failures": failures}

@@ -156,9 +156,8 @@ def test_criterion_7_monoid_property_suites():
 
 
 def test_criterion_8_polytope_group():
-    rep = run_suites(seed=0, polytope_cases=100,
-                     names=["shadow_homomorphism",
-                            "decompose_reconstruction"])
+    rep = run_suites(seed=0, names=["shadow_homomorphism",
+                                    "decompose_reconstruction"])
     failures = {k: v["failures"] for k, v in rep.items() if v["failures"]}
     golden = True
     from icm.polytopes import (BasisElement, basis_segment, decompose_2d,
@@ -177,7 +176,7 @@ def test_criterion_8_polytope_group():
 
 
 def test_criterion_9_phi_contracts():
-    rep = run_suites(seed=0, polytope_cases=100, names=["phi_homomorphism"])
+    rep = run_suites(seed=0, names=["phi_homomorphism"])
     hom_ok = not rep["phi_homomorphism"]["failures"]
     surj_ok = all(class_equal_ideal(phi(ideal_to_polytope(I)), ideal_class(I))
                   for I in closed_ideals_in_box(5))

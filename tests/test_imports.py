@@ -4,8 +4,9 @@ top-level name defined under src/icm is used somewhere in src/icm.
 Package `__init__.py` files are exempt from the import check (their imports
 are re-exports), and so are `from __future__` imports.  No module but
 `feasibility.py` itself imports the LP solver, so no production path solves
-an LP.  Every console script named in pyproject.toml resolves to a callable
-entry point.
+an LP.  No module refers to `closed_supersets`, the antichain walk, but in
+its own definition, so no library query walks antichains.  Every console
+script named in pyproject.toml resolves to a callable entry point.
 """
 
 import ast
@@ -74,6 +75,35 @@ def test_no_lp_in_production(path):
     answer off the facet description."""
     assert "feasibility" not in imported_modules(
         path.read_text(encoding="utf-8"))
+
+
+def references(source, name):
+    """Lines of a source that refer to name, outside its own definition."""
+    tree = ast.parse(source)
+    own = {id(node) for stmt in tree.body if name in _defined_names(stmt)
+           for node in ast.walk(stmt)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if id(node) not in own and name in (
+                      getattr(node, "id", None), getattr(node, "attr", None),
+                      node.name if isinstance(node, ast.alias) else None))
+
+
+def test_detects_a_reference_to_the_walk():
+    source = ("def closed_supersets(I):\n    return closed_supersets(I)\n"
+              "def split(I):\n    return next(closed_supersets(I))\n"
+              "from .monoid import closed_supersets as walk\n"
+              "import icm.monoid\nicm.monoid.closed_supersets(I)\n")
+    assert references(source, "closed_supersets") == [4, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_antichain_walk_in_production(path):
+    """closed_supersets walks every antichain of a box complement; the
+    tests list closed ideals with it, and divisor searches read NP(I)'s
+    vertices instead."""
+    assert references(path.read_text(encoding="utf-8"),
+                      "closed_supersets") == []
 
 
 def _defined_names(stmt):

@@ -29,6 +29,8 @@ def ideal(*gens):
 
 M2 = ideal((1, 0), (0, 1))
 M2SQ = ideal((2, 0), (1, 1), (0, 2))
+M3 = ideal((1, 0, 0), (0, 1, 0), (0, 0, 1))
+J1 = parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z")
 
 
 class TestStar:
@@ -169,7 +171,8 @@ class TestIrreducible:
                                 budget=SearchBudget(0))
 
     def test_budget_exceeded_is_distinct(self):
-        # a budget of one covers only the first candidate, I itself
+        # a budget of one covers only the first lattice point tried, below
+        # the first vertex, so the search stops before any divisor
         with pytest.raises(BudgetExceededError):
             is_star_irreducible(ideal((9, 0), (1, 1), (0, 9)),
                                 budget=SearchBudget(1))
@@ -293,40 +296,65 @@ class TestAllFactorizations:
             assert all_factorizations(I) == factorizations_by_search(I), I
 
     def test_lipman_search_work(self):
-        # pins one divisor search: the 281 antichains of L's box complement
+        # pins one divisor search: 365 lattice points tried below the
+        # vertices of NP(L)
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 281
+        assert budget.examined == 365
         assert {len(fz) for fz in found} == {2, 3}
 
     def test_lipman_walks_few_candidates(self):
-        # the divisor search reads its candidates off the dividend's one
-        # facet description, so none of the 281 candidates gets its own
+        # the divisor search reads every divisor off the dividend's one
+        # facet description, so no divisor gets one of its own
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
         _facet_inequalities.cache_clear()
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 281
+        assert budget.examined == 365
         assert {len(fz) for fz in found} == {2, 3}
-        assert _facet_inequalities.cache_info().misses <= 10
+        assert _facet_inequalities.cache_info().misses == 1
+
+    @pytest.mark.parametrize("I, count", [
+        (star(J1, J1), 1), (star(star(M3, M3), J1), 2),
+        (star_power(J1, 3), 1), (star_power(M3, 8), 1)],
+        ids=["J1*J1", "m*m*J1", "J1^3", "m^8"])
+    def test_large_3d_ideals_factor(self, I, count):
+        # 15 to 45 generators, whose boxes hold 7,166 to over 200,000
+        # antichains; the vertex search stays within a small budget
+        found = all_factorizations(I, budget=SearchBudget(2000))
+        assert len(found) == count
+        if I == star(J1, J1):
+            assert found == {(J1, J1)}
+        for fz in found:
+            prod = unit_ideal(3)
+            for A in fz:
+                assert is_star_irreducible(A)
+                prod = star(prod, A)
+            assert prod == I
+
+
+def by_gens(pair):
+    return tuple(J.gens for J in pair)
 
 
 class TestDivisorPairs:
-    @pytest.mark.parametrize("corner", [(3, 2), (2, 1, 1)])
+    @pytest.mark.parametrize("corner", [(3, 2), (2, 1, 1), (2, 2, 1),
+                                        (1, 1, 1, 1)])
     def test_prune_keeps_every_divisor(self, corner):
-        # every closed ideal with generators in the box, against the same
-        # enumeration with each candidate divided and none pruned
+        # every closed ideal with generators in the box, against the
+        # antichain enumeration with each candidate divided by the colon
         closed = list(closed_supersets(principal_ideal(corner), budget=None))
         for I in closed:
             pairs = [(J, divides_by_colon(J, I))
                      for J in closed_supersets(I, budget=None)]
             dividend = _Dividend(I)
-            assert [(J, dividend.cofactor(h)) for J, h in dividend.divisors(
-                SearchBudget(None), 0, ord_valuation(I))] == [
-                    (J, K) for J, K in pairs if K is not None], I
+            assert sorted(((dividend.ideal(h), dividend.cofactor(h))
+                           for h in dividend.divisors(SearchBudget(None))),
+                          key=by_gens) == sorted(
+                ((J, K) for J, K in pairs if K is not None), key=by_gens), I
 
 
 def least(J, c):
