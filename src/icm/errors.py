@@ -19,7 +19,7 @@ class BudgetExceededError(RuntimeError):
     Distinct from a negative answer: callers must not treat this as "false".
     """
 
-    def __init__(self, message, examined=None):
+    def __init__(self, message, examined):
         super().__init__(message)
         self.examined = examined
 
@@ -27,8 +27,6 @@ class BudgetExceededError(RuntimeError):
 class IdealParseError(ValueError):
     """Monomial-ideal text that does not match the input grammar."""
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__(f"{message} (at position {position})")
         self.position = position

@@ -1,19 +1,28 @@
 """The monoid of integrally closed monomial ideals under I*J = closure(IJ).
 
-In two variables factorization is unique and the atoms are (x), (y) and
-closure(x^a, y^b), gcd(a, b) = 1 (Zariski), so neither needs a search.
-NP(J*K) = NP(J) + NP(K), so J's facet normals are I's and each vertex of
-NP(I) is a vertex of NP(J) plus one of the cofactor's: divisibility and
-the cofactor are read off I's one facet description (_Dividend).  A
-closed divisor J is fixed by its support vector h_J, its least values on
-I's facet normals c, since NP(J) = {x >= 0 : c.x >= h_J(c)} =: P(h_J);
-and h_{J*K} = h_J + h_K, since least values add under Minkowski sums.  The
-vectors lie in NP(I)'s type cone (McMullen 1973), where P(g) + P(h) =
-P(g + h), so for divisors J and K of I, J star-divides K iff h_K - h_J is
-a divisor's vector.  The vectors are read off one lattice point below
-each vertex of NP(I) (_Dividend.divisors), so d >= 3 factorization is one
-finite search plus vector arithmetic.  Searches carry an explicit budget;
-running out raises BudgetExceededError, never a wrong negative.
+Everything here rests on NP(J*K) = NP(J) + NP(K), and three answers are
+read off it with no search.  Each (x_i) is prime and least values add,
+so I = x^m·R splits once into m_i copies of each (x_i) and an R with no
+monomial factor, whose divisors have none either (_split_monomial).  An
+NP(R) with one facet off the coordinate hyperplanes is a dilated simplex,
+whose only lattice summands are its own dilates, so R is an atom when
+its intercepts have gcd 1: Zariski's one-edge rule, in any dimension
+(_proper_split).  NP(I^n) = n·NP(I), so a star power is one closure
+(star_power).  In two variables factorization is unique (Zariski), so
+one split sequence finds it.  A divisor J of I has only I's facet
+normals, and each vertex of NP(I) is a vertex of NP(J) plus one of the
+cofactor's:
+divisibility and the cofactor are read off I's one facet description
+(_Dividend).  A closed divisor J is fixed by its support vector h_J, its
+least values on I's facet normals c, since NP(J) = {x >= 0 : c.x >=
+h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since least values add under
+Minkowski sums.  The vectors lie in NP(I)'s type cone (McMullen 1973),
+where P(g) + P(h) = P(g + h), so for divisors J and K of I, J
+star-divides K iff h_K - h_J is a divisor's vector.  The vectors are
+read off one lattice point below each vertex of NP(I)
+(_Dividend.divisors), so d >= 3 factorization is one finite search plus
+vector arithmetic.  Searches carry an explicit budget; running out raises
+BudgetExceededError, never a wrong negative.
 """
 
 from __future__ import annotations
@@ -25,9 +34,10 @@ from operator import le, mul, sub
 from .errors import (BudgetExceededError, NotIntegrallyClosedError,
                      NotStarMultipleError)
 from .ideals import (MonomialIdeal, _check_dims, box_points, contains,
-                     dominates, generator_box, minimalize, ord_valuation,
-                     principal_ideal, product, translate, unit_ideal)
-from .newton import (_facet_inequalities, convex_chain, integral_closure,
+                     dominates, generator_box, minimalize,
+                     normalize_translation, ord_valuation, principal_ideal,
+                     product)
+from .newton import (_facet_inequalities, integral_closure,
                      is_integrally_closed, lattice_generators, np_of,
                      vertices)
 
@@ -59,13 +69,15 @@ def star(I, J):
 
 
 def star_power(I, n):
-    """I star-multiplied by itself n times; the monoid has no inverses."""
+    """I star-multiplied by itself n times; the monoid has no inverses.
+
+    NP(J*K) = NP(J) + NP(K), and P + ... + P = n·P for a convex P, so
+    NP(I^n) = n·NP(I) = conv(n·g for g in I's generators) + R^d_+: the
+    closure of the n-th powers of the generators, the unit at n = 0."""
     if n < 0:
         raise ValueError("the monoid has no inverses, so n must be >= 0")
-    result = unit_ideal(I.dim)
-    for _ in range(n):
-        result = star(result, I)
-    return result
+    return integral_closure(minimalize(
+        [[n * a for a in g] for g in I.gens], I.dim))
 
 
 def quotient_cancel(S, K):
@@ -188,19 +200,38 @@ def _require_closed(I, name="ideal"):
         raise NotIntegrallyClosedError(f"{name} must be integrally closed")
 
 
-def _proper_split(I, budget):
-    """A split (J, K) of I into non-units, or None.  A variable x_i dividing
-    I gives ((x_i), I / x_i) with no search.  Past that, a 2D I with one
-    Newton polygon edge, from (0, b) to (a, 0), is closure(x^a, y^b): an
-    atom iff gcd(a, b) = 1 (Zariski).  Else the first proper divisor's."""
-    o = ord_valuation(I)
-    for e in (tuple(int(k == i) for k in range(I.dim)) for i in range(I.dim)):
-        if o > 1 and all(dominates(g, e) for g in I.gens):
-            return principal_ideal(e), translate(I, tuple(-x for x in e))
-    if (o <= 1 or I.dim == 2 and len(convex_chain(I.gens)) == 2
-            and gcd(I.gens[-1][0], I.gens[0][1]) == 1):
+def _split_monomial(I):
+    """I = x^m·R as the m_i copies of each prime (x_i), and R.
+
+    An atom other than (x_i) has no monomial factor, which (x_i) would
+    split off, and the least value of each x_i on NP adds under star; so
+    every factorization of I is these copies plus one of R, and no divisor
+    of R has a monomial factor."""
+    R, m = normalize_translation(I)
+    return [principal_ideal(tuple(int(k == i) for k in range(I.dim)))
+            for i, e in enumerate(m) for _ in range(e)], R
+
+
+def _proper_split(R, budget):
+    """A split (J, K) of a non-unit R with no monomial factor into
+    non-units, or None.  ord is additive and only the unit has ord 0, so
+    ord(R) <= 1 is an atom.  So is an R whose NP has exactly one facet
+    c.x >= m with m > 0, when its intercepts a_i = m / c_i (c_i > 0) have
+    gcd 1.  The other facets are the coordinate ones, so NP(R) = {x >= 0 :
+    c.x >= m}, with vertices a_i·e_i.  A closed divisor J has R's normals
+    and no monomial factor (see _Dividend, _split_monomial), so NP(J) =
+    {x >= 0 : c.x >= t} = (t/m)·NP(R) for some t <= m, and its vertices
+    (t/m)·a_i·e_i are lattice points.  An integer combination of the a_i
+    is 1, so t/m is an integer: J is the unit or R.  In two variables this
+    is Zariski's one-edge rule.  A simplex with gcd > 1, x^2,xy,y^2 among
+    them, and every other R take the first proper divisor the search
+    finds."""
+    if ord_valuation(R) <= 1:
         return None
-    dividend = _Dividend(I)
+    (c, m), *rest = [f for f in _facet_inequalities(R.gens, R.dim) if f[1]]
+    if not rest and gcd(*(m // a for a in c if a)) == 1:
+        return None
+    dividend = _Dividend(R)
     whole = tuple(m for _, m in dividend.facets)
     for h in dividend.divisors(budget):
         if any(h) and h != whole:
@@ -226,14 +257,17 @@ def divides(I, J, budget=DEFAULT_BUDGET):
 
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
-    """No pair of non-unit closed ideals star-multiplies to I: exhaustive
-    over the finite divisor search unless _proper_split needs none; ord(I)
-    == 1 is an immediate yes since ord is additive and only the unit has
-    ord 0."""
+    """No pair of non-unit closed ideals star-multiplies to I.  An I with a
+    monomial factor is an atom iff it is some (x_i); else the answer is
+    _proper_split's, exhaustive over the finite divisor search unless the
+    ord or simplex rule needs none."""
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
     _require_closed(I)
-    return _proper_split(I, _as_budget(budget)) is None
+    variables, R = _split_monomial(I)
+    if variables:
+        return variables == [I]
+    return _proper_split(R, _as_budget(budget)) is None
 
 
 @dataclass(frozen=True)
@@ -248,14 +282,18 @@ class Factorization:
 def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
-    Deterministic: each split is _proper_split's, a variable dividing I or
-    the first proper divisor that _Dividend.divisors yields; ord is additive.
+    Deterministic: the copies of each (x_i) that _split_monomial splits
+    off once, then _proper_split's splits of the rest from a work list,
+    each the first proper divisor that _Dividend.divisors yields.  A
+    divisor of a monomial-free ideal is monomial-free, and ord is additive,
+    so every split leads to atoms.
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
     _require_closed(I)
     budget = _as_budget(budget)
-    atoms, pending = [], [I]
+    atoms, R = _split_monomial(I)
+    pending = [] if R.is_unit else [R]
     while pending:
         current = pending.pop()
         split = _proper_split(current, budget)  # None for an atom
@@ -269,18 +307,18 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
 
 def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
-    In d <= 2 it is unique (Zariski): factor_atoms' answer.  Else one
-    divisor search runs and its answers are factored as support vectors
+    In d <= 2 it is unique (Zariski), and it is when I is a monomial:
+    factor_atoms' answer.  Else I = x^m·R (_split_monomial), one divisor
+    search runs on R and its answers are factored as support vectors
     (module docstring), the zero vector being the unit's: an atom's
     vector is no sum of two nonzero divisors' vectors, and a factorization
-    is a multiset of atom vectors summing to h_I, each partial sum of which
-    is a divisor's vector."""
-    if I.dim <= 2:
+    of R is a multiset of atom vectors summing to h_R, each partial sum of
+    which is a divisor's vector."""
+    variables, R = _split_monomial(I)
+    if I.dim <= 2 or R.is_unit:
         return {factor_atoms(I, budget).atoms}
-    if I.is_unit:
-        raise ValueError("the unit ideal has no atomic factorization")
     _require_closed(I)
-    dividend = _Dividend(I)
+    dividend = _Dividend(R)
     found = set(dividend.divisors(_as_budget(budget)))
     unit = (0,) * len(dividend.facets)
 
@@ -294,10 +332,11 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
 
     def rec(rest, start, chosen):
         if rest == unit:
-            results.add(chosen)
+            results.add(tuple(sorted(variables + chosen,
+                                     key=lambda a: a.gens)))
         for i, (A, h) in enumerate(atoms[start:], start):
             if minus(rest, h) in found:
-                rec(minus(rest, h), i, chosen + (A,))
+                rec(minus(rest, h), i, chosen + [A])
 
-    rec(tuple(m for _, m in dividend.facets), 0, ())
+    rec(tuple(m for _, m in dividend.facets), 0, [])
     return results

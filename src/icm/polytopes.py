@@ -16,7 +16,8 @@ from math import gcd
 
 from .errors import BudgetExceededError, DimensionMismatchError
 from .ideals import (MonomialIdeal, _check_dims, colon, minimalize,
-                     normalize_translation, translate, unit_ideal)
+                     normalize_translation, principal_ideal, product,
+                     unit_ideal)
 from .monoid import _require_closed, star
 from .newton import NewtonPolyhedron, convex_chain, integral_closure, vertices
 
@@ -421,15 +422,14 @@ class ColonFactorization:
         return colon(num, den)
 
 
-def _axis_factor_ideal(a, b):
-    return integral_closure(minimalize({(a, 0), (0, b)}, 2))
-
-
 def _evaluate_product(monomial, factors):
-    result = unit_ideal(2)
+    """closure(x^monomial * prod (x^a, y^b)).  NP of a product is the
+    Minkowski sum of the factors' NPs, whatever their closures, so the
+    plain product is closed once."""
+    result = principal_ideal(monomial)
     for a, b in factors:
-        result = star(result, _axis_factor_ideal(a, b))
-    return translate(result, monomial)
+        result = product(result, minimalize({(a, 0), (0, b)}, 2))
+    return integral_closure(result)
 
 
 def colon_factorization_2d(I):

@@ -18,25 +18,25 @@ from .polytopes import (class_equal, class_equal_ideal, decompose_2d,
                         ideal_to_polytope, p_mink_sum, phi, phi_group, shadow)
 
 
-def random_ideal(rng, dim=None, max_exp=3, max_gens=4):
-    """A random monomial ideal (not necessarily closed)."""
+def random_ideal(rng, dim=None):
+    """A random monomial ideal (not necessarily closed): 1 to 4
+    generators with exponents in [0, 3]."""
     if dim is None:
         dim = rng.choice([1, 2, 3])
-    k = rng.randint(1, max_gens)
-    pts = [tuple(rng.randint(0, max_exp) for _ in range(dim))
-           for _ in range(k)]
+    k = rng.randint(1, 4)
+    pts = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(k)]
     return minimalize(pts, dim)
 
 
-def random_closed_ideal(rng, dim=None, max_exp=3, max_gens=4):
-    return integral_closure(random_ideal(rng, dim, max_exp, max_gens))
+def random_closed_ideal(rng, dim=None):
+    return integral_closure(random_ideal(rng, dim))
 
 
-def random_polygon(rng, span=4, max_pts=6):
-    """A random 2D lattice polytope (possibly a segment or a point)."""
-    k = rng.randint(1, max_pts)
-    pts = [(rng.randint(-span, span), rng.randint(-span, span))
-           for _ in range(k)]
+def random_polygon(rng):
+    """A random 2D lattice polytope (possibly a segment or a point): the
+    hull of 1 to 6 points in [-4, 4]^2."""
+    k = rng.randint(1, 6)
+    pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(k)]
     return hull(pts, 2)
 
 

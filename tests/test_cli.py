@@ -56,8 +56,10 @@ class TestBasicCommands:
         assert (code, out["result"]["count"]) == (0, "1")
 
     def test_factorizations_high_power(self, capsys):
-        code, out = run(capsys, "factorizations", "x^1200")
-        assert (code, out["result"]["count"]) == (0, "1")
+        for text, atoms in (("x^1200", 1200), ("x^1100*y*z", 1102)):
+            code, out = run(capsys, "factorizations", text)
+            assert (code, out["result"]["count"]) == (0, "1")
+            assert len(out["result"]["factorizations"][0]) == atoms
 
     def test_irreducible(self, capsys):
         code, out = run(capsys, "irreducible?", "x,y")

@@ -1,5 +1,6 @@
 import random
 from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
@@ -48,6 +49,16 @@ class TestStar:
     def test_power(self):
         assert star_power(M2, 2) == M2SQ
         assert star_power(M2, 0) == unit_ideal(2)
+
+    @pytest.mark.parametrize("corner", [(3, 2), (2, 1, 1)])
+    def test_power_is_dilation(self, corner):
+        # NP(I^n) = n·NP(I): one closure of the n-th powers of the
+        # generators, against the n-fold star
+        for I in closed_supersets(principal_ideal(corner), budget=None):
+            folded = unit_ideal(I.dim)
+            for n in range(5):
+                assert star_power(I, n) == folded, (I, n)
+                folded = star(folded, I)
 
     def test_negative_power_rejected(self):
         # the monoid has no inverses, so there is no I^-1 to power
@@ -170,6 +181,25 @@ class TestIrreducible:
             is_star_irreducible(integral_closure(ideal((4, 0), (0, 6))),
                                 budget=SearchBudget(0))
 
+    def test_simplex_atoms_need_no_search(self):
+        # NP(closure(x^a, y^b, z^c)) has one facet off the coordinate
+        # hyperplanes, so it is an atom when ord <= 1 or gcd(a, b, c) = 1;
+        # only the gcd > 1 simplices search, against the exhaustive oracle
+        for a, b, c in iproduct(range(1, 4), repeat=3):
+            I = integral_closure(ideal((a, 0, 0), (0, b, 0), (0, 0, c)))
+            expected = irreducible_by_search(I)
+            assert is_star_irreducible(I) == expected, I
+            if min(a, b, c) == 1 or gcd(a, b, c) == 1:
+                assert is_star_irreducible(I, budget=SearchBudget(0)), I
+            else:
+                assert not expected
+                with pytest.raises(BudgetExceededError):
+                    is_star_irreducible(I, budget=SearchBudget(0))
+
+    def test_4d_simplex_atom_needs_no_search(self):
+        I = integral_closure(parse_ideal("x^2,y^3,z^5,w^7"))
+        assert is_star_irreducible(I, budget=SearchBudget(0))
+
     def test_budget_exceeded_is_distinct(self):
         # a budget of one covers only the first lattice point tried, below
         # the first vertex, so the search stops before any divisor
@@ -275,13 +305,17 @@ class TestAllFactorizations:
             all_factorizations(unit_ideal(2))
 
     def test_high_powers_need_no_search(self):
-        # unique in one and two variables, so no level of the search runs
+        # unique in one and two variables, and a monomial in any number
+        # is its variables, so no level of the search runs
         x, y = principal_ideal((1,)), ideal((0, 1))
         assert all_factorizations(principal_ideal((1200,)),
                                   budget=SearchBudget(0)) == {(x,) * 1200}
         assert all_factorizations(principal_ideal((3, 1500)),
                                   budget=SearchBudget(0)) == {
             (y,) * 1500 + (ideal((1, 0)),) * 3}
+        assert all_factorizations(principal_ideal((40, 1, 1)),
+                                  budget=SearchBudget(0)) == {
+            (ideal((0, 0, 1)), ideal((0, 1, 0))) + (ideal((1, 0, 0)),) * 40}
 
     @pytest.mark.parametrize("corner, count", [
         ((2, 1, 1), 48), ((2, 2, 1), 158), ((1, 1, 1, 1), 166)],
@@ -304,6 +338,26 @@ class TestAllFactorizations:
         found = all_factorizations(L, budget=budget)
         assert budget.examined == 365
         assert {len(fz) for fz in found} == {2, 3}
+
+    def test_monomial_factor_adds_variables(self):
+        # x·L: (x) joins each of L's factorizations, and the one search
+        # runs on L, not on x·L
+        L = star(M3, J1)
+        x = ideal((1, 0, 0))
+        alone, joint = SearchBudget(None), SearchBudget(None)
+        expected = {tuple(sorted(fz + (x,), key=lambda a: a.gens))
+                    for fz in all_factorizations(L, budget=alone)}
+        assert all_factorizations(star(x, L), budget=joint) == expected
+        assert joint.examined == alone.examined == 365
+
+    def test_monomial_factor_leaves_one_search(self):
+        alone, joint = SearchBudget(None), SearchBudget(None)
+        assert all_factorizations(J1, budget=alone) == {(J1,)}
+        I = star(ideal((2, 1, 0)), J1)
+        assert all_factorizations(I, budget=joint) == {tuple(sorted(
+            (ideal((0, 1, 0)), ideal((1, 0, 0)), ideal((1, 0, 0)), J1),
+            key=lambda a: a.gens))}
+        assert joint.examined == alone.examined == 76
 
     def test_lipman_walks_few_candidates(self):
         # the divisor search reads every divisor off the dividend's one
