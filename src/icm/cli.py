@@ -12,8 +12,7 @@ import json
 import os
 import sys
 
-from .errors import (BudgetExceededError, DimensionMismatchError,
-                     IdealParseError, NotStarMultipleError)
+from .errors import BudgetExceededError, IdealParseError
 from .ideals import colon, ord_valuation
 from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
                      divides, factor_atoms, is_star_irreducible, star)
@@ -167,8 +166,6 @@ def _cmd_colon_factor(args):
     f = colon_factorization_2d(I)
     return {"num_monomial": list(f.num_monomial),
             "num_factors": [list(p) for p in f.num_factors],
-            "den_monomial": list(f.den_monomial),
-            "den_factors": [list(p) for p in f.den_factors],
             "round_trip": f.evaluate() == I}
 
 
@@ -277,7 +274,7 @@ def main(argv=None):
     except IdealParseError as ex:
         print(json.dumps({"error": str(ex), "position": ex.position}))
         return 1
-    except (DimensionMismatchError, NotStarMultipleError, ValueError) as ex:
+    except ValueError as ex:
         print(json.dumps({"error": str(ex)}))
         return 2
     except BudgetExceededError as ex:

@@ -11,11 +11,12 @@ merging the two edge cycles in angle order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import BudgetExceededError, DimensionMismatchError
-from .ideals import (MonomialIdeal, _check_dims, colon, minimalize,
+from .ideals import (MonomialIdeal, _check_dims, minimalize,
                      normalize_translation, principal_ideal, product,
                      unit_ideal)
 from .monoid import _require_closed, star
@@ -402,57 +403,49 @@ def ideal_to_polytope(I):
 
 @dataclass(frozen=True)
 class ColonFactorization:
-    """I as closure(x^num_monomial * prod (x^a, y^b)) colon the same shape.
+    """I as x^num_monomial * closure(prod (x^a, y^b)), one (a, b) per copy.
 
-    Factors are (a, b) exponent pairs, one entry per copy.  For a closed 2D
-    ideal the denominator is always trivial, den_monomial (0, 0) and no
-    den_factors: by Zariski's theorem the ideal is a monomial times a star
-    product of closures of (x^a, y^b).  The fields stay so the shape of an
-    answer does not depend on that theorem.
+    No denominator is needed: by Zariski's theorem a closed 2D ideal is a
+    monomial times a star product of closures of (x^a, y^b), so the colon
+    by a trivial denominator is the numerator itself.
     """
     base: MonomialIdeal
     num_monomial: tuple
     num_factors: tuple
-    den_monomial: tuple
-    den_factors: tuple
 
     def evaluate(self):
-        num = _evaluate_product(self.num_monomial, self.num_factors)
-        den = _evaluate_product(self.den_monomial, self.den_factors)
-        return colon(num, den)
-
-
-def _evaluate_product(monomial, factors):
-    """closure(x^monomial * prod (x^a, y^b)).  NP of a product is the
-    Minkowski sum of the factors' NPs, whatever their closures, so the
-    plain product is closed once."""
-    result = principal_ideal(monomial)
-    for a, b in factors:
-        result = product(result, minimalize({(a, 0), (0, b)}, 2))
-    return integral_closure(result)
+        """NP of a product is the Minkowski sum of the factors' NPs,
+        whatever their closures, and NP of c copies of (x^a, y^b) is that
+        of (x^(c*a), y^(c*b)); so one product per distinct factor, then
+        one closure."""
+        result = principal_ideal(self.num_monomial)
+        for (a, b), c in Counter(self.num_factors).items():
+            result = product(result, minimalize({(c * a, 0), (0, c * b)}, 2))
+        return integral_closure(result)
 
 
 def colon_factorization_2d(I):
-    """Express a closed 2D ideal as a colon of star products of
-    closures of (x^a, y^b), by decomposing its generator polygon over the
-    basis and pushing each basis element through phi.
+    """Express a closed 2D ideal as a monomial times a star product of
+    closures of (x^a, y^b), read off the basis decomposition of its
+    generator polygon.
 
-    Only segments with direction (-a, b), a, b > 0 have a nontrivial
-    phi-image; every other basis element lands on the identity class (this
-    is computed per element, not assumed).  Such a segment's coefficient
-    is its edge's lattice length, never negative, so the factors all go to
-    the numerator.  The returned expression evaluates back to I exactly.
+    phi sends Segment(-a, b) with a, b > 0 to the class of
+    closure(x^a, y^b) and every other basis element to the identity
+    (tests/test_polytopes.py::TestPhi checks it for |v_1|, v_2 <= 6), so
+    each such segment of coefficient c gives c copies of (a, b).  That
+    coefficient is an edge's lattice length, never negative.  The
+    returned expression is checked to evaluate back to I exactly.
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
     _require_closed(I, "input")
     coeffs = decompose_2d(group_element(hull(I.gens, 2)))
-    num_factors = []
+    factors = []
     for B, c in coeffs.items():
-        if not phi(B.polytope()).is_identity:
-            num_factors.extend([(-B.v[0], B.v[1])] * c)
-    base, monomial = normalize_translation(I)
-    if _evaluate_product((0, 0), num_factors) != base:
-        raise AssertionError("phi images do not recombine to the input class")
-    return ColonFactorization(I, monomial, tuple(sorted(num_factors)),
-                              (0, 0), ())
+        if B.kind == "segment" and B.v[0] < 0 < B.v[1]:
+            factors.extend([(-B.v[0], B.v[1])] * c)
+    f = ColonFactorization(I, normalize_translation(I)[1],
+                           tuple(sorted(factors)))
+    if f.evaluate() != I:
+        raise AssertionError("basis segments do not recombine to the input")
+    return f

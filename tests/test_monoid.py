@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import product as iproduct
 from math import gcd
@@ -507,6 +509,19 @@ class TestBudgetIgnoresHistory:
         fn(I, budget=None)
         after = self.outcome(fn, I, limit)
         assert before == after == (BudgetExceededError, limit + 1)
+
+
+class TestBudgetExceededError:
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_survives_pickle_and_copy(self, clone):
+        with pytest.raises(BudgetExceededError) as exc:
+            is_star_irreducible(M2SQ, budget=1)
+        again = clone(exc.value)
+        assert type(again) is BudgetExceededError
+        assert str(again) == str(exc.value)
+        assert again.examined == exc.value.examined == 2
 
 
 def below(a, b):

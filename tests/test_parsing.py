@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from icm.errors import IdealParseError
@@ -60,6 +63,18 @@ class TestParseErrors:
         with pytest.raises(IdealParseError) as exc:
             parse_ideal(text)
         assert exc.value.position == position
+
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)),
+                                       copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_survives_pickle_and_copy(self, clone):
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal("y*x0")
+        again = clone(exc.value)
+        assert type(again) is IdealParseError
+        assert str(again) == str(exc.value) == \
+            "variable index must be >= 1, got x0 (at position 2)"
+        assert again.position == 2
 
 
 class TestRender:

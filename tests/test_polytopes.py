@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -288,6 +289,24 @@ class TestPhi:
         assert class_equal_ideal(phi_group(e2),
                                  ideal_class(ideal((2, 0), (1, 2), (0, 3))))
 
+    def test_only_up_left_segments_leave_identity(self):
+        # colon_factorization_2d reads its factors off this lemma: phi of
+        # Segment(-a, b) with a, b > 0 is closure(x^a, y^b), every other
+        # basis element goes to the identity
+        dirs = [(a, b) for b in range(7) for a in range(-6, 7)
+                if gcd(a, b) == 1 and (b > 0 or a > 0)]
+        basis = [BasisElement("segment", v) for v in dirs] + \
+            [BasisElement("triangle", v) for v in dirs if v[0] and v[1]]
+        assert len(basis) == 94
+        for B in basis:
+            c = phi(B.polytope())
+            if B.kind == "segment" and B.v[0] < 0:
+                a, b = -B.v[0], B.v[1]
+                assert c == ideal_class(ideal((a, 0), (0, b))), B
+                assert not c.is_identity
+            else:
+                assert c.is_identity, B
+
 
 class TestIdealClasses:
     def test_self_class_identity(self):
@@ -328,19 +347,17 @@ class TestColonFactorization:
         f = colon_factorization_2d(I)
         assert f.num_monomial == (0, 0)
         assert f.num_factors == ((2, 3),)
-        assert f.den_factors == ()
         assert f.evaluate() == I
 
     def test_two_factor_case(self):
         I = ideal((3, 0), (1, 1), (0, 2))
         f = colon_factorization_2d(I)
         assert sorted(f.num_factors) == [(1, 1), (2, 1)]
-        assert f.den_factors == ()
         assert f.evaluate() == I
 
     def test_unit_is_empty(self):
         f = colon_factorization_2d(unit_ideal(2))
-        assert f.num_factors == () and f.den_factors == ()
+        assert f.num_factors == ()
         assert f.evaluate() == unit_ideal(2)
 
     def test_rejects_unclosed(self):
@@ -369,3 +386,17 @@ class TestColonFactorization:
                         for a, b in f.num_factors])
             assert factor_atoms(I).atoms == tuple(
                 sorted(atoms, key=lambda a: a.gens)), I
+
+
+class TestColonEvaluate:
+    def test_evaluate_multiplies_once_per_distinct_factor(self, monkeypatch):
+        # c copies of (x^a, y^b) are one (x^(c*a), y^(c*b)) up to closure;
+        # multiplying copy by copy would show as one call per copy
+        f = colon_factorization_2d(integral_closure(ideal((40, 0), (0, 40))))
+        assert f.num_factors == ((1, 1),) * 40
+        calls = []
+        real = polytopes.product
+        monkeypatch.setattr(polytopes, "product",
+                            lambda *args: calls.append(args) or real(*args))
+        assert f.evaluate() == f.base
+        assert len(calls) == 1
