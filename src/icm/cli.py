@@ -85,58 +85,50 @@ def _int_at_least(low):
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns the "result" object
+# command implementations; each returns the "result" object.  Those of
+# one_ideal and two_ideals commands get the loaded ideals before args.
 
 
-def _cmd_closure(args):
-    I = _load_ideal(args.ideal, args)
+def _cmd_closure(I, args):
     return ideal_to_document(integral_closure(I))
 
 
-def _cmd_closed(args):
-    I = _load_ideal(args.ideal, args)
+def _cmd_closed(I, args):
     return {"closed": is_integrally_closed(I)}
 
 
-def _cmd_star(args):
-    I, J = _load_ideals(args)
+def _cmd_star(I, J, args):
     return ideal_to_document(star(I, J))
 
 
-def _cmd_ord(args):
-    I = _load_ideal(args.ideal, args)
+def _cmd_ord(I, args):
     return {"ord": ord_valuation(I)}
 
 
-def _cmd_colon(args):
-    I, J = _load_ideals(args)
+def _cmd_colon(I, J, args):
     return ideal_to_document(colon(I, J))
 
 
-def _cmd_factor(args):
-    I = integral_closure(_load_ideal(args.ideal, args))
-    f = factor_atoms(I, budget=args.budget)
+def _cmd_factor(I, args):
+    f = factor_atoms(integral_closure(I), budget=args.budget)
     return {"base": ideal_to_document(f.base),
             "atoms": [ideal_to_document(a) for a in f.atoms],
             "length": len(f)}
 
 
-def _cmd_factorizations(args):
-    I = integral_closure(_load_ideal(args.ideal, args))
-    results = all_factorizations(I, budget=args.budget)
+def _cmd_factorizations(I, args):
+    results = all_factorizations(integral_closure(I), budget=args.budget)
     as_lists = sorted([a.gens for a in fz] for fz in results)
     rendered = [[{"gens": [list(g) for g in gens]} for gens in fz]
                 for fz in as_lists]
     return {"count": len(results), "factorizations": rendered}
 
 
-def _cmd_irreducible(args):
-    I = _load_ideal(args.ideal, args)
+def _cmd_irreducible(I, args):
     return {"irreducible": is_star_irreducible(I, budget=args.budget)}
 
 
-def _cmd_divides(args):
-    I, J = _load_ideals(args)
+def _cmd_divides(I, J, args):
     _require_closed(I, "divisor")
     _require_closed(J, "dividend")
     K = divides(I, J, budget=args.budget)
@@ -161,12 +153,10 @@ def _cmd_phi(args):
             "identity": c.is_identity}
 
 
-def _cmd_colon_factor(args):
-    I = _load_ideal(args.ideal, args)
+def _cmd_colon_factor(I, args):
     f = colon_factorization_2d(I)
     return {"num_monomial": list(f.num_monomial),
-            "num_factors": [list(p) for p in f.num_factors],
-            "round_trip": f.evaluate() == I}
+            "num_factors": [list(p) for p in f.num_factors]}
 
 
 def _cmd_verify(args):
@@ -221,13 +211,15 @@ def build_parser():
     def one_ideal(name, fn, aliases=()):
         p = sub.add_parser(name, aliases=list(aliases))
         p.add_argument("ideal")
-        p.set_defaults(fn=fn, canonical=name)
+        p.set_defaults(fn=lambda args: fn(_load_ideal(args.ideal, args), args),
+                       canonical=name)
 
     def two_ideals(name, fn, aliases=()):
         p = sub.add_parser(name, aliases=list(aliases))
         p.add_argument("left")
         p.add_argument("right")
-        p.set_defaults(fn=fn, canonical=name)
+        p.set_defaults(fn=lambda args: fn(*_load_ideals(args), args),
+                       canonical=name)
 
     one_ideal("closure", _cmd_closure)
     one_ideal("closed?", _cmd_closed, aliases=["closed"])

@@ -30,12 +30,8 @@ class MonomialIdeal:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if not self.gens:
-            raise ValueError("a monomial ideal needs at least one generator")
+        _check_points(self.gens, self.dim, "generator")
         for g in self.gens:
-            if len(g) != self.dim:
-                raise DimensionMismatchError(
-                    f"generator {g} has length {len(g)}, expected {self.dim}")
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
         if any(g >= h for g, h in zip(self.gens, self.gens[1:])):
@@ -66,8 +62,6 @@ def minimalize(points, dim):
     larger degree, so every minimal point below it was already kept.
     """
     pts = sorted(set(map(tuple, points)), key=sum)
-    if not pts:
-        raise ValueError("cannot build an ideal from an empty point set")
     minimal = []
     for p in pts:
         if not any(dominates(p, q) for q in minimal):
@@ -87,6 +81,17 @@ def principal_ideal(exponent):
 def _check_dims(I, J):
     if I.dim != J.dim:
         raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
+
+
+def _check_points(points, dim, what):
+    """ValueError if there are no points, DimensionMismatchError if one
+    has a length other than dim; what names a point in the message."""
+    if not points:
+        raise ValueError(f"at least one {what} is needed")
+    for p in points:
+        if len(p) != dim:
+            raise DimensionMismatchError(
+                f"{what} {p} has length {len(p)}, expected {dim}")
 
 
 def product(I, J):
@@ -151,8 +156,7 @@ def colon(I, J):
 def contains(I, a):
     """True iff the monomial with exponent a lies in I."""
     a = tuple(a)
-    if len(a) != I.dim:
-        raise DimensionMismatchError(f"point has length {len(a)}, expected {I.dim}")
+    _check_points((a,), I.dim, "point")
     return any(dominates(a, g) for g in I.gens)
 
 
@@ -177,8 +181,7 @@ def normalize_translation(I):
 
 def translate(I, m):
     """Multiply I by the monomial with exponent m (shift all generators)."""
-    if len(m) != I.dim:
-        raise DimensionMismatchError(f"shift has length {len(m)}, expected {I.dim}")
+    _check_points((m,), I.dim, "shift")
     shifted = tuple(sorted(tuple(a + b for a, b in zip(g, m)) for g in I.gens))
     return MonomialIdeal(I.dim, shifted)
 

@@ -45,14 +45,15 @@ DEFAULT_BUDGET = 500_000
 
 
 class SearchBudget:
-    """One unit per lattice point tried (closed_supersets: per candidate)."""
+    """One unit per lattice point tried (closed_supersets: per candidate;
+    decompose_2d: one unit per basis copy)."""
 
     def __init__(self, limit):
         self.limit = limit
         self.examined = 0
 
-    def spend(self):
-        self.examined += 1
+    def spend(self, n=1):
+        self.examined += n
         if self.limit is not None and self.examined > self.limit:
             raise BudgetExceededError(
                 f"search budget of {self.limit} exceeded",

@@ -19,9 +19,8 @@ from functools import lru_cache
 from math import gcd, inf
 from operator import mul
 
-from .errors import DimensionMismatchError
-from .ideals import (MonomialIdeal, _check_dims, generator_box, minimalize,
-                     staircase)
+from .ideals import (MonomialIdeal, _check_dims, _check_points, generator_box,
+                     minimalize, staircase)
 
 
 @dataclass(frozen=True)
@@ -30,12 +29,7 @@ class NewtonPolyhedron:
     points: tuple  # sorted tuple of exponent tuples; conv(points) + R^d_+
 
     def __post_init__(self):
-        if not self.points:
-            raise ValueError("a Newton polyhedron needs at least one point")
-        for p in self.points:
-            if len(p) != self.dim:
-                raise DimensionMismatchError(
-                    f"point {p} has length {len(p)}, expected {self.dim}")
+        _check_points(self.points, self.dim, "point")
 
 
 def np_of(I):
@@ -46,8 +40,7 @@ def np_of(I):
 def member(P, q):
     """Exact test: q in conv(points) + R^d_+ (rational q allowed)."""
     q = tuple(q)
-    if len(q) != P.dim:
-        raise DimensionMismatchError(f"point has length {len(q)}, expected {P.dim}")
+    _check_points((q,), P.dim, "point")
     return all(sum(a * b for a, b in zip(c, q)) >= m
                for c, m in _facet_inequalities(P.points, P.dim))
 

@@ -15,11 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetExceededError, DimensionMismatchError
-from .ideals import (MonomialIdeal, _check_dims, minimalize,
+from .errors import DimensionMismatchError
+from .ideals import (MonomialIdeal, _check_dims, _check_points, minimalize,
                      normalize_translation, principal_ideal, product,
                      unit_ideal)
-from .monoid import _require_closed, star
+from .monoid import _as_budget, _require_closed, star
 from .newton import NewtonPolyhedron, convex_chain, integral_closure, vertices
 
 
@@ -29,12 +29,7 @@ class IntegralPolytope:
     verts: tuple  # sorted tuple of integer points; exactly the vertex set
 
     def __post_init__(self):
-        if not self.verts:
-            raise ValueError("a polytope needs at least one vertex")
-        for v in self.verts:
-            if len(v) != self.dim:
-                raise DimensionMismatchError(
-                    f"vertex {v} has length {len(v)}, expected {self.dim}")
+        _check_points(self.verts, self.dim, "vertex")
 
 
 def hull(points, dim):
@@ -46,12 +41,7 @@ def hull(points, dim):
     lifted point is a vertex of the Newton polyhedron of the lifted points.
     """
     pts = sorted(set(map(tuple, points)))
-    if not pts:
-        raise ValueError("cannot take the hull of an empty point set")
-    for p in pts:
-        if len(p) != dim:
-            raise DimensionMismatchError(
-                f"point {p} has length {len(p)}, expected {dim}")
+    _check_points(pts, dim, "point")
     if dim == 2:
         verts = set(convex_chain(pts)) | set(convex_chain(pts[::-1]))
     else:
@@ -269,9 +259,9 @@ def decompose_2d(e, budget=None):
     triangle hypotenuse, so those coefficients read off directly; axis
     directions are settled afterwards by the two axis segments.  The
     reconstruction identity is re-checked before returning; it adds one
-    basis copy per unit of coefficient, and BudgetExceededError is raised
-    before it starts if those copies number more than budget (None: no
-    bound).
+    basis copy per unit of coefficient, and those copies are charged to
+    budget (a count, a SearchBudget or None for no bound) before it
+    starts, so BudgetExceededError comes before the work.
     """
     if e.dim != 2:
         raise DimensionMismatchError("basis decomposition is implemented in 2D")
@@ -307,11 +297,7 @@ def decompose_2d(e, budget=None):
     if axis_residual[(0, 1)]:
         coeffs[BasisElement("segment", (0, 1))] = axis_residual[(0, 1)]
 
-    copies = sum(map(abs, coeffs.values()))
-    if budget is not None and copies > budget:
-        raise BudgetExceededError(
-            f"reconstruction budget of {budget} basis copies exceeded",
-            examined=copies)
+    _as_budget(budget).spend(sum(map(abs, coeffs.values())))
     if not _reconstructs(e, coeffs):
         raise AssertionError("basis decomposition failed its reconstruction check")
     return coeffs

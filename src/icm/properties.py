@@ -2,15 +2,18 @@
 
 Each suite function takes a seeded Random and a case count and returns a
 list of failure descriptions (empty means the property held everywhere).
-All checks are exact; the randomness only picks inputs.
+All but suite_primes_are_atoms are a per-case check run cases times
+(_per_case).  All checks are exact; the randomness only picks inputs.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import wraps
 from itertools import combinations
 
-from .ideals import minimalize, ord_valuation, unit_ideal
+from .ideals import contains, minimalize, ord_valuation, unit_ideal
 from .monoid import is_star_irreducible, quotient_cancel, star, star_power
 from .newton import integral_closure, mink_sum, np_equal, np_of
 from .polytopes import (class_equal, class_equal_ideal, decompose_2d,
@@ -40,100 +43,97 @@ def random_polygon(rng):
     return hull(pts, 2)
 
 
+def _per_case(check):
+    """The suite that runs check(rng), a generator of one random case's
+    failures, cases times and lists every failure."""
+    @wraps(check)
+    def suite(rng, cases):
+        failures = []
+        for _ in range(cases):
+            failures.extend(check(rng))
+        return failures
+    return suite
+
+
 # ---------------------------------------------------------------------------
 # monoid suites
 
 
-def suite_star_monoid_laws(rng, cases):
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        J = random_closed_ideal(rng, dim)
-        K = random_closed_ideal(rng, dim)
-        if star(star(I, J), K) != star(I, star(J, K)):
-            failures.append(f"associativity: {I} {J} {K}")
-        if star(I, J) != star(J, I):
-            failures.append(f"commutativity: {I} {J}")
-        if star(I, unit_ideal(dim)) != I:
-            failures.append(f"identity: {I}")
-    return failures
+@_per_case
+def suite_star_monoid_laws(rng):
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    J = random_closed_ideal(rng, dim)
+    K = random_closed_ideal(rng, dim)
+    if star(star(I, J), K) != star(I, star(J, K)):
+        yield f"associativity: {I} {J} {K}"
+    if star(I, J) != star(J, I):
+        yield f"commutativity: {I} {J}"
+    if star(I, unit_ideal(dim)) != I:
+        yield f"identity: {I}"
 
 
-def suite_np_homomorphism(rng, cases):
+@_per_case
+def suite_np_homomorphism(rng):
     """NP(I*J) equals NP(I) + NP(J) as polyhedra."""
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        J = random_closed_ideal(rng, dim)
-        if not np_equal(np_of(star(I, J)), mink_sum(np_of(I), np_of(J))):
-            failures.append(f"NP homomorphism: {I} {J}")
-    return failures
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    J = random_closed_ideal(rng, dim)
+    if not np_equal(np_of(star(I, J)), mink_sum(np_of(I), np_of(J))):
+        yield f"NP homomorphism: {I} {J}"
 
 
-def suite_ord_additivity(rng, cases):
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([1, 2, 3])
-        I = random_closed_ideal(rng, dim)
-        J = random_closed_ideal(rng, dim)
-        if ord_valuation(star(I, J)) != ord_valuation(I) + ord_valuation(J):
-            failures.append(f"ord additivity: {I} {J}")
-    return failures
+@_per_case
+def suite_ord_additivity(rng):
+    dim = rng.choice([1, 2, 3])
+    I = random_closed_ideal(rng, dim)
+    J = random_closed_ideal(rng, dim)
+    if ord_valuation(star(I, J)) != ord_valuation(I) + ord_valuation(J):
+        yield f"ord additivity: {I} {J}"
 
 
-def suite_conical(rng, cases):
+@_per_case
+def suite_conical(rng):
     """star(I, J) is the unit ideal only when both inputs are."""
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        J = random_closed_ideal(rng, dim)
-        if star(I, J).is_unit and not (I.is_unit and J.is_unit):
-            failures.append(f"conical: {I} {J}")
-    return failures
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    J = random_closed_ideal(rng, dim)
+    if star(I, J).is_unit and not (I.is_unit and J.is_unit):
+        yield f"conical: {I} {J}"
 
 
-def suite_cancellation(rng, cases):
+@_per_case
+def suite_cancellation(rng):
     """quotient_cancel(star(I, K), K) recovers I exactly."""
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        K = random_closed_ideal(rng, dim)
-        if quotient_cancel(star(I, K), K) != I:
-            failures.append(f"cancellation: {I} {K}")
-    return failures
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    K = random_closed_ideal(rng, dim)
+    if quotient_cancel(star(I, K), K) != I:
+        yield f"cancellation: {I} {K}"
 
 
-def suite_torsion_free(rng, cases):
+@_per_case
+def suite_torsion_free(rng):
     """I != J implies star-powers stay distinct, n <= 3."""
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        J = random_closed_ideal(rng, dim)
-        if I == J:
-            continue
-        for n in (2, 3):
-            if star_power(I, n) == star_power(J, n):
-                failures.append(f"torsion-free (n={n}): {I} {J}")
-    return failures
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    J = random_closed_ideal(rng, dim)
+    if I == J:
+        return
+    for n in (2, 3):
+        if star_power(I, n) == star_power(J, n):
+            yield f"torsion-free (n={n}): {I} {J}"
 
 
-def suite_closure_laws(rng, cases):
+@_per_case
+def suite_closure_laws(rng):
     """Closure is idempotent and extensive."""
-    failures = []
-    for _ in range(cases):
-        I = random_ideal(rng)
-        C = integral_closure(I)
-        if integral_closure(C) != C:
-            failures.append(f"idempotence: {I}")
-        if not all(any(all(a >= b for a, b in zip(g, h)) for h in C.gens)
-                   for g in I.gens):
-            failures.append(f"extensivity: {I}")
-    return failures
+    I = random_ideal(rng)
+    C = integral_closure(I)
+    if integral_closure(C) != C:
+        yield f"idempotence: {I}"
+    if not all(contains(C, g) for g in I.gens):
+        yield f"extensivity: {I}"
 
 
 def suite_primes_are_atoms(rng, cases):
@@ -154,67 +154,57 @@ def suite_primes_are_atoms(rng, cases):
 # polytope suites
 
 
-def suite_shadow_homomorphism(rng, cases):
+@_per_case
+def suite_shadow_homomorphism(rng):
     """[Sh(P+Q)] equals [Sh(P)] + [Sh(Q)] at class level, and Sh is
     idempotent."""
-    failures = []
-    for _ in range(cases):
-        P = random_polygon(rng)
-        Q = random_polygon(rng)
-        lhs = group_element(shadow(p_mink_sum(P, Q)))
-        rhs = group_add(group_element(shadow(P)), group_element(shadow(Q)))
-        if not class_equal(lhs, rhs):
-            failures.append(f"shadow homomorphism: {P} {Q}")
-        if shadow(shadow(P)).verts != shadow(P).verts:
-            failures.append(f"shadow idempotence: {P}")
-    return failures
+    P = random_polygon(rng)
+    Q = random_polygon(rng)
+    lhs = group_element(shadow(p_mink_sum(P, Q)))
+    rhs = group_add(group_element(shadow(P)), group_element(shadow(Q)))
+    if not class_equal(lhs, rhs):
+        yield f"shadow homomorphism: {P} {Q}"
+    if shadow(shadow(P)).verts != shadow(P).verts:
+        yield f"shadow idempotence: {P}"
 
 
-def suite_decompose_reconstruction(rng, cases):
+@_per_case
+def suite_decompose_reconstruction(rng):
     """decompose_2d passes its reconstruction identity and is linear."""
-    failures = []
-    for _ in range(cases):
-        P = random_polygon(rng)
-        Q = random_polygon(rng)
-        try:
-            cp = decompose_2d(group_element(P))
-            cq = decompose_2d(group_element(Q))
-            cs = decompose_2d(group_add(group_element(P), group_element(Q)))
-        except AssertionError as ex:
-            failures.append(f"reconstruction: {P} {Q}: {ex}")
-            continue
-        total = dict(cp)
-        for B, c in cq.items():
-            total[B] = total.get(B, 0) + c
-        total = {B: c for B, c in total.items() if c}
-        if total != cs:
-            failures.append(f"linearity: {P} {Q}")
-    return failures
+    P = random_polygon(rng)
+    Q = random_polygon(rng)
+    try:
+        cp = decompose_2d(group_element(P))
+        cq = decompose_2d(group_element(Q))
+        cs = decompose_2d(group_add(group_element(P), group_element(Q)))
+    except AssertionError as ex:
+        yield f"reconstruction: {P} {Q}: {ex}"
+        return
+    total = Counter(cp)
+    total.update(cq)  # a Counter compares missing and zero counts equal
+    if total != Counter(cs):
+        yield f"linearity: {P} {Q}"
 
 
-def suite_phi_homomorphism(rng, cases):
+@_per_case
+def suite_phi_homomorphism(rng):
     """phi_group(e1 + e2) class-equals phi_group(e1) * phi_group(e2)."""
-    failures = []
-    for _ in range(cases):
-        e1 = group_element(random_polygon(rng), random_polygon(rng))
-        e2 = group_element(random_polygon(rng), random_polygon(rng))
-        lhs = phi_group(group_add(e1, e2))
-        a, b = phi_group(e1), phi_group(e2)
-        rhs = ideal_class(star(a.num, b.num), star(a.den, b.den))
-        if not class_equal_ideal(lhs, rhs):
-            failures.append(f"phi homomorphism: {e1} {e2}")
-    return failures
+    e1 = group_element(random_polygon(rng), random_polygon(rng))
+    e2 = group_element(random_polygon(rng), random_polygon(rng))
+    lhs = phi_group(group_add(e1, e2))
+    a, b = phi_group(e1), phi_group(e2)
+    rhs = ideal_class(star(a.num, b.num), star(a.den, b.den))
+    if not class_equal_ideal(lhs, rhs):
+        yield f"phi homomorphism: {e1} {e2}"
 
 
-def suite_phi_surjectivity(rng, cases):
+@_per_case
+def suite_phi_surjectivity(rng):
     """phi(ideal_to_polytope(I)) lands on the class of I."""
-    failures = []
-    for _ in range(cases):
-        dim = rng.choice([2, 3])
-        I = random_closed_ideal(rng, dim)
-        if not class_equal_ideal(phi(ideal_to_polytope(I)), ideal_class(I)):
-            failures.append(f"phi surjectivity: {I}")
-    return failures
+    dim = rng.choice([2, 3])
+    I = random_closed_ideal(rng, dim)
+    if not class_equal_ideal(phi(ideal_to_polytope(I)), ideal_class(I)):
+        yield f"phi surjectivity: {I}"
 
 
 MONOID_SUITES = {

@@ -85,10 +85,8 @@ class TestBasicCommands:
 
     def test_colon_factor(self, capsys):
         code, out = run(capsys, "colon-factor", "x^2,x*y^2,y^3")
-        assert set(out["result"]) == {"num_monomial", "num_factors",
-                                      "round_trip"}
+        assert set(out["result"]) == {"num_monomial", "num_factors"}
         assert out["result"]["num_factors"] == [["2", "3"]]
-        assert out["result"]["round_trip"] is True
 
     def test_verify_lipman(self, capsys):
         code, out = run(capsys, "verify", "lipman")

@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             MonomialIdeal(2, ((1, 0, 0),))
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError) as info:
+            MonomialIdeal(0, ((),))
+        assert info.type is ValueError
+
     def test_unit_flag(self):
         assert unit_ideal(3).is_unit
         assert not ideal((1, 0), (0, 1)).is_unit
@@ -144,6 +149,10 @@ class TestContains:
     def test_unit_contains_origin(self):
         assert contains(unit_ideal(2), (0, 0))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            contains(ideal((1, 0), (0, 1)), (1, 1, 1))
+
 
 class TestOrd:
     def test_mixed_cubic_ideal(self):
@@ -182,6 +191,10 @@ class TestNormalizeTranslation:
         I = ideal((3, 1), (1, 2))
         I2, m = normalize_translation(I)
         assert translate(I2, m) == I
+
+    def test_translate_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            translate(ideal((1, 0), (0, 1)), (1,))
 
 
 class TestIntersection:

@@ -59,6 +59,15 @@ class TestMember:
         with pytest.raises(DimensionMismatchError):
             member(np_of(ideal((1, 0))), (1, 0, 0))
 
+    def test_polyhedron_rejects_empty_points(self):
+        with pytest.raises(ValueError) as info:
+            NewtonPolyhedron(2, ())
+        assert info.type is ValueError
+
+    def test_polyhedron_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            NewtonPolyhedron(2, ((1, 0), (0, 1, 0)))
+
     def test_against_lp_oracle(self):
         rng = random.Random(11)
         for dim in (1, 2, 3, 4):

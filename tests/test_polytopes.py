@@ -8,8 +8,9 @@ from icm.errors import BudgetExceededError, DimensionMismatchError
 from icm.ideals import MonomialIdeal, unit_ideal
 from icm.monoid import closed_supersets, factor_atoms, star
 from icm.newton import integral_closure
-from icm.polytopes import (BasisElement, IntegralPolytope, basis_segment,
-                           basis_triangle, class_equal, class_equal_ideal,
+from icm.polytopes import (BasisElement, IdealClassElement, IntegralPolytope,
+                           PolytopeGroupElement, basis_segment, basis_triangle,
+                           class_equal, class_equal_ideal,
                            colon_factorization_2d, decompose_2d,
                            edge_vector_counts, group_add, group_element,
                            group_negate, height, hull, ideal_class,
@@ -41,6 +42,24 @@ class TestHull:
         P = hull({(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                   (0, 0, 0)}, 3)
         assert len(P.verts) == 4
+
+    def test_rejects_empty_points(self):
+        with pytest.raises(ValueError) as info:
+            hull([], 2)
+        assert info.type is ValueError
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            hull({(0, 0), (1, 0, 0)}, 2)
+
+    def test_polytope_rejects_empty_vertices(self):
+        with pytest.raises(ValueError) as info:
+            IntegralPolytope(2, ())
+        assert info.type is ValueError
+
+    def test_polytope_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            IntegralPolytope(2, ((0, 0), (1,)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_against_lp_oracle(self, dim):
@@ -164,6 +183,10 @@ class TestGroupElements:
         assert class_equal(group_add(e, group_negate(e)),
                            group_element(point_polytope(2)))
 
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            PolytopeGroupElement(point_polytope(2), point_polytope(3))
+
 
 class TestBasisElements:
     def test_segment(self):
@@ -192,6 +215,15 @@ class TestBasisElements:
         with pytest.raises(ValueError):
             basis_segment((0, -1))
 
+    def test_non_planar_direction_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            basis_segment((1, 1, 1))
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError) as info:
+            basis_segment((0, 0))
+        assert info.type is ValueError
+
 
 class TestEdgeVectorCounts:
     def test_square(self):
@@ -205,6 +237,10 @@ class TestEdgeVectorCounts:
 
     def test_point_empty(self):
         assert edge_vector_counts(point_polytope(2)) == {}
+
+    def test_rejects_3d(self):
+        with pytest.raises(DimensionMismatchError):
+            edge_vector_counts(point_polytope(3))
 
     def test_additive_under_mink_sum(self):
         P = hull({(0, 0), (1, 0), (0, 1)}, 2)
@@ -233,6 +269,10 @@ class TestDecompose2d:
 
     def test_point_is_empty(self):
         assert decompose_2d(group_element(point_polytope(2))) == {}
+
+    def test_rejects_3d(self):
+        with pytest.raises(DimensionMismatchError):
+            decompose_2d(group_element(hull({(0, 0, 0), (1, 0, 0)}, 3)))
 
     def test_difference_decomposition(self):
         square = hull({(0, 0), (1, 0), (0, 1), (1, 1)}, 2)
@@ -322,6 +362,10 @@ class TestIdealClasses:
         I = ideal((2, 0), (0, 1))
         J = ideal((1, 0), (0, 2))
         assert class_equal_ideal(ideal_class(star(I, J), J), ideal_class(I))
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            IdealClassElement(unit_ideal(2), unit_ideal(3))
 
 
 class TestIdealToPolytope:
