@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import BudgetExceededError, IdealParseError
-from .ideals import colon, ord_valuation
+from .ideals import _sorted_antichain, colon, ord_valuation
 from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
                      divides, factor_atoms, is_star_irreducible, star)
 from .newton import integral_closure, is_integrally_closed
@@ -51,13 +51,16 @@ def _load_ideal(text, args):
 
 def _load_ideals(args):
     """The left and right ideals.  As text without --dim, both take the
-    dimension of the largest variable index in either; a JSON document
-    keeps its own vars."""
+    dimension of the largest variable index in either: the lower one is
+    lifted by zero exponents, which is what parsing it again in that
+    dimension gives, and keeps its generators a sorted antichain.  A JSON
+    document keeps its own vars."""
     I, J = _load_ideal(args.left, args), _load_ideal(args.right, args)
-    if args.json or args.dim is not None or I.dim == J.dim:
+    if args.json or args.dim is not None:
         return I, J
     dim = max(I.dim, J.dim)
-    return parse_ideal(args.left, dim=dim), parse_ideal(args.right, dim=dim)
+    return tuple(K if K.dim == dim else _sorted_antichain(
+        dim, tuple(g + (0,) * (dim - K.dim) for g in K.gens)) for K in (I, J))
 
 
 def _parse_budget(text):
@@ -130,8 +133,9 @@ def _cmd_irreducible(I, args):
 
 def _cmd_divides(I, J, args):
     _require_closed(I, "divisor")
-    _require_closed(J, "dividend")
     K = divides(I, J, budget=args.budget)
+    if K is None:  # divides walks J once and answers None if it is not closed
+        _require_closed(J, "dividend")
     return {"divides": K is not None,
             "cofactor": ideal_to_document(K) if K is not None else None}
 

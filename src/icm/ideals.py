@@ -4,6 +4,13 @@ An exponent vector is a plain tuple of d nonnegative ints.  A monomial ideal
 is stored by its minimal generators, which always form an antichain under
 componentwise <=.  The unit ideal is generated by the zero vector; the zero
 ideal is not representable (constructors reject empty generator sets).
+
+Validation happens once, at the boundary: MonomialIdeal(...) checks every
+generator it is given, the antichain property included, which costs
+quadratic time in the worst case.  Outputs that are sorted antichains by
+proof skip the checks through _sorted_antichain: the staircase walk's
+(colon here, integral closure and the divisor ideals downstream) and
+normalize_translation's shift of an ideal already checked.
 """
 
 from __future__ import annotations
@@ -53,6 +60,18 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal(dim={self.dim}, gens={list(self.gens)})"
+
+
+def _sorted_antichain(dim, gens):
+    """The ideal whose minimal generators are gens, with no check run.
+
+    Only for gens that the caller has proved to be a nonempty, sorted
+    antichain of nonnegative points of length dim; every other caller
+    goes through MonomialIdeal's checks."""
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "dim", dim)
+    object.__setattr__(ideal, "gens", gens)
+    return ideal
 
 
 def minimalize(points, dim):
@@ -150,7 +169,7 @@ def colon(I, J):
         return max(next((t for t, s in part if dominates(u, s)), inf)
                    for part in parts)
 
-    return MonomialIdeal(I.dim, tuple(sorted(staircase(axes, k, lowest))))
+    return _sorted_antichain(I.dim, tuple(sorted(staircase(axes, k, lowest))))
 
 
 def contains(I, a):
@@ -173,10 +192,12 @@ def normalize_translation(I):
 
     Returns (I', m) where m is the componentwise minimum over generators and
     I' has generators gens(I) - m.  I' is the monomial gcd-free form of I.
+    Subtracting m <= every generator keeps them nonnegative, sorted and an
+    antichain, so the shift skips the checks.
     """
     m = tuple(min(g[k] for g in I.gens) for k in range(I.dim))
-    shifted = tuple(sorted(tuple(a - b for a, b in zip(g, m)) for g in I.gens))
-    return MonomialIdeal(I.dim, shifted), m
+    shifted = tuple(tuple(a - b for a, b in zip(g, m)) for g in I.gens)
+    return _sorted_antichain(I.dim, shifted), m
 
 
 def translate(I, m):

@@ -23,21 +23,30 @@ read off one lattice point below each vertex of NP(I)
 (_Dividend.divisors), so d >= 3 factorization is one finite search plus
 vector arithmetic.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
+
+Inputs are checked where they enter, by MonomialIdeal.  The ideals built
+here skip those checks where they are sorted antichains by proof: star
+and star_power close their raw points (pairwise sums, dilated
+generators) by a staircase walk (newton._closure_of_points; the closure
+reads only the points' hull, so none is minimalized), _Dividend's
+divisors and cofactors are walks of I's facets, and _split_monomial's R
+is normalize_translation's shift.  The primes (x_i) and
+closed_supersets' candidates keep the checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, inf
-from operator import le, mul, sub
+from operator import add, le, mul, sub
 
 from .errors import (BudgetExceededError, NotIntegrallyClosedError,
                      NotStarMultipleError)
-from .ideals import (MonomialIdeal, _check_dims, box_points, contains,
-                     dominates, generator_box, minimalize,
-                     normalize_translation, ord_valuation, principal_ideal,
-                     product)
-from .newton import (_facet_inequalities, integral_closure,
+from .ideals import (MonomialIdeal, _check_dims, _sorted_antichain,
+                     box_points, contains, dominates, generator_box,
+                     minimalize, normalize_translation, ord_valuation,
+                     principal_ideal)
+from .newton import (_closure_of_points, _facet_inequalities,
                      is_integrally_closed, lattice_generators, np_of,
                      vertices)
 
@@ -65,8 +74,13 @@ def _as_budget(budget):
 
 
 def star(I, J):
-    """The monoid operation: integral closure of the product."""
-    return integral_closure(product(I, J))
+    """The monoid operation: integral closure of the product.  The
+    closure reads only NP(IJ) = NP(I) + NP(J), which the pairwise sums of
+    the generators support, so the sums are closed as they are: no
+    product is formed and none is minimalized."""
+    _check_dims(I, J)
+    return _closure_of_points(
+        {tuple(map(add, g, h)) for g in I.gens for h in J.gens}, I.dim)
 
 
 def star_power(I, n):
@@ -77,8 +91,8 @@ def star_power(I, n):
     closure of the n-th powers of the generators, the unit at n = 0."""
     if n < 0:
         raise ValueError("the monoid has no inverses, so n must be >= 0")
-    return integral_closure(minimalize(
-        [[n * a for a in g] for g in I.gens], I.dim))
+    return _closure_of_points(
+        {tuple(n * a for a in g) for g in I.gens}, I.dim)
 
 
 def quotient_cancel(S, K):
@@ -153,9 +167,11 @@ class _Dividend:
         return None
 
     def ideal(self, h):
-        """The lattice points of P(h); a divisor's lie in I's box."""
-        return MonomialIdeal(len(self.box), tuple(sorted(lattice_generators(
-            [(c, t) for (c, _), t in zip(self.facets, h)], self.box))))
+        """The lattice points of P(h); a divisor's lie in I's box.  The
+        staircase walk yields a sorted antichain, so no check runs."""
+        return _sorted_antichain(len(self.box), tuple(sorted(
+            lattice_generators([(c, t) for (c, _), t in zip(self.facets, h)],
+                               self.box))))
 
     def cofactor(self, h):
         """The K with star(J, K) == I for a J with h = support(J)."""

@@ -7,7 +7,11 @@ integer normals.  2D facets are read off the lower convex chain; in every
 other dimension they come from the double description method.  Vertices
 and equality are read off the facets, so no LP runs.  Integral closure
 is a staircase walk of the generator box that reads each column's lowest
-point of NP(I) off the facets and yields the minimal generators alone.
+point of NP(I) off the facets and yields the minimal generators alone;
+they are a sorted antichain by the walk's proof, so the closure skips
+MonomialIdeal's checks.  A one-off point set, such as star's pairwise
+sums, is closed as it is: its facets are built uncached and no
+minimalizing pass runs, since NP reads only the points' hull.
 The tests check the description against an independent rational LP and
 a rank test of each facet.
 """
@@ -19,8 +23,8 @@ from functools import lru_cache
 from math import gcd, inf
 from operator import mul
 
-from .ideals import (MonomialIdeal, _check_dims, _check_points, generator_box,
-                     minimalize, staircase)
+from .ideals import (_check_dims, _check_points, _sorted_antichain,
+                     generator_box, minimalize, staircase)
 
 
 @dataclass(frozen=True)
@@ -49,15 +53,19 @@ def vertices(P):
     """The unique minimal generating set of the polyhedron.
 
     The facets tight at a vertex meet in that vertex alone; at any other
-    point they meet in a face that holds a vertex too.  So a point is a
-    vertex iff no other point is tight on every facet tight at it.
+    point they meet in a face that holds a vertex too, one tight on more
+    facets.  So the points are grouped by their mask of tight facets and
+    the masks compared group by group, not point by point: a group whose
+    mask no other group's contains holds one point, a vertex.
     """
     facets = _facet_inequalities(P.points, P.dim)
-    pts = sorted(set(P.points))
-    tight = [sum(1 << i for i, (c, m) in enumerate(facets)
-                 if sum(a * b for a, b in zip(c, p)) == m) for p in pts]
-    return {p for p, t in zip(pts, tight)
-            if sum(s & t == t for s in tight) == 1}
+    groups = {}
+    for p in set(P.points):
+        tight = sum(1 << i for i, (c, m) in enumerate(facets)
+                    if sum(map(mul, c, p)) == m)
+        groups.setdefault(tight, []).append(p)
+    return {pts[0] for t, pts in groups.items()
+            if not any(s & t == t for s in groups if s != t)}
 
 
 def reduce_points(P):
@@ -153,21 +161,27 @@ def _double_description(pts, dim):
     return tuple((r[:dim], -r[dim]) for r, _ in rays if any(r[:dim]))
 
 
-@lru_cache(maxsize=65536)
-def _facet_inequalities(points, dim):
+def _facets(pts, dim):
     """The facets c.x >= m (c >= 0 primitive, m = min of c over the points)
-    of conv(points) + R^d_+.  The polyhedron is full-dimensional, so its
-    facets alone cut it out, and distinct facets have distinct normals.
+    of conv(pts) + R^d_+, for sorted distinct pts.  The polyhedron is
+    full-dimensional, so its facets alone cut it out, and distinct facets
+    have distinct normals.
 
     2D facets come from the lower convex chain in O(n log n), which is
     many times faster than the general routine on the small polygons that
     dominate closure work; every other dimension, 1 included, takes the
     double description.
     """
-    pts = sorted(set(points))
     if dim == 2:
         return _chain_facets_2d(pts)
     return _double_description(pts, dim)
+
+
+@lru_cache(maxsize=65536)
+def _facet_inequalities(points, dim):
+    """_facets of any points, cached: ideals and polyhedra that are asked
+    again (a dividend, a member test's polyhedron) build theirs once."""
+    return _facets(sorted(set(points)), dim)
 
 
 def lattice_generators(facets, box):
@@ -200,7 +214,19 @@ def _closure_generators(I):
 
 def integral_closure(I):
     """Closure of a monomial ideal: minimal lattice points of NP(I)."""
-    return MonomialIdeal(I.dim, tuple(sorted(_closure_generators(I))))
+    return _sorted_antichain(I.dim, tuple(sorted(_closure_generators(I))))
+
+
+def _closure_of_points(points, dim):
+    """Closure of the ideal that the points generate, for a one-off point
+    set such as star's pairwise sums: NP reads only their hull, so no
+    minimalizing pass runs, and the facets are built uncached, so the set
+    never enters _facet_inequalities' cache.  The points' box holds the
+    box of their minimal points, so the walk misses no generator."""
+    pts = sorted(set(points))
+    box = tuple(map(max, zip(*pts)))
+    return _sorted_antichain(
+        dim, tuple(sorted(lattice_generators(_facets(pts, dim), box))))
 
 
 def is_integrally_closed(I):

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import gcd
 
 from .errors import DimensionMismatchError
 from .ideals import (MonomialIdeal, _check_dims, _check_points, minimalize,
-                     normalize_translation, principal_ideal, product,
-                     unit_ideal)
+                     normalize_translation, unit_ideal)
 from .monoid import _as_budget, _require_closed, star
-from .newton import NewtonPolyhedron, convex_chain, integral_closure, vertices
+from .newton import (NewtonPolyhedron, _closure_of_points, convex_chain,
+                     integral_closure, vertices)
 
 
 @dataclass(frozen=True)
@@ -402,12 +403,21 @@ class ColonFactorization:
     def evaluate(self):
         """NP of a product is the Minkowski sum of the factors' NPs,
         whatever their closures, and NP of c copies of (x^a, y^b) is that
-        of (x^(c*a), y^(c*b)); so one product per distinct factor, then
-        one closure."""
-        result = principal_ideal(self.num_monomial)
-        for (a, b), c in Counter(self.num_factors).items():
-            result = product(result, minimalize({(c * a, 0), (0, c * b)}, 2))
-        return integral_closure(result)
+        of (x^(c*a), y^(c*b)), the segment (c*a, -c*b) plus R^2_+.  A sum
+        of such polygons has the segments for edges, steepest first, so
+        its lower chain runs from x^num_monomial * y^(sum of c*b) through
+        one corner per distinct factor, and one closure of those corners
+        is the answer: no product is formed."""
+        x, y = self.num_monomial
+        edges = sorted(((c * a, c * b) for (a, b), c
+                        in Counter(self.num_factors).items()),
+                       key=cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1]))
+        y += sum(b for _, b in edges)
+        corners = [(x, y)]
+        for a, b in edges:
+            x, y = x + a, y - b
+            corners.append((x, y))
+        return _closure_of_points(corners, 2)
 
 
 def colon_factorization_2d(I):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from icm import cli
 from icm.cli import main
 from icm.properties import run_suites
 
@@ -131,6 +132,17 @@ class TestInputModes:
         assert out["result"]["cofactor"] == {
             "gens": [["0", "1"], ["1", "0"]], "vars": "2"}
 
+    def test_lower_dimension_is_lifted_not_parsed_again(self, capsys,
+                                                        monkeypatch):
+        calls = []
+        real = cli.parse_ideal
+        monkeypatch.setattr(cli, "parse_ideal",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, out = run(capsys, "star", "x", "x,y")
+        assert (code, out["result"]) == (
+            0, {"gens": [["1", "1"], ["2", "0"]], "vars": "2"})
+        assert calls == [("x",), ("x,y",)]
+
     def test_dim_flag_applies_to_both_ideals(self, capsys):
         code, out = run(capsys, "--dim", "3", "star", "x", "y")
         assert (code, out["result"]) == (
@@ -158,6 +170,16 @@ class TestExitCodes:
     def test_precondition_violation(self, capsys):
         code, out = run(capsys, "irreducible?", "x^2,y^2")
         assert (code, out) == (2, {"error": "ideal must be integrally closed"})
+
+    def test_non_closed_dividend(self, capsys):
+        code, out = run(capsys, "divides", "x,y", "x^2,y^2")
+        assert (code, out) == (
+            2, {"error": "dividend must be integrally closed"})
+
+    def test_non_closed_divisor_is_reported_first(self, capsys):
+        code, out = run(capsys, "divides", "x^2,y^2", "x^3,y^3")
+        assert (code, out) == (
+            2, {"error": "divisor must be integrally closed"})
 
     def test_unreadable_json_document(self, capsys, tmp_path):
         code, out = run(capsys, "--json", "closure",

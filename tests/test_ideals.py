@@ -7,6 +7,9 @@ from icm.ideals import (MonomialIdeal, colon, contains, generator_box,
                         intersection, minimalize, normalize_translation,
                         ord_valuation, principal_ideal, product, translate,
                         unit_ideal)
+from icm.monoid import SearchBudget, _Dividend, star, star_power
+from icm.newton import integral_closure
+from icm.polytopes import colon_factorization_2d
 from oracles import colon_by_intersection, minimal_by_pairs
 
 
@@ -209,3 +212,34 @@ class TestIntersection:
 
 def test_generator_box():
     assert generator_box(ideal((3, 0), (1, 2))) == (3, 2)
+
+
+class TestUncheckedOutputs:
+    """Every output built without MonomialIdeal's checks, on seeded
+    inputs, against the pairwise oracle: equal to it means sorted, free of
+    repeats, an antichain, nonnegative and of the right length."""
+
+    @staticmethod
+    def assert_checked(*ideals):
+        for I in ideals:
+            assert I == minimal_by_pairs(I.gens, I.dim), I
+
+    @pytest.mark.parametrize("dim, top, cases", [(2, 6, 60), (3, 4, 30),
+                                                 (4, 3, 12)])
+    def test_against_pairwise_oracle(self, dim, top, cases):
+        rng = random.Random(100 + dim)
+
+        def random_ideal():
+            return minimalize([tuple(rng.randint(0, top) for _ in range(dim))
+                               for _ in range(rng.randint(1, 4))], dim)
+
+        for _ in range(cases):
+            I, J = random_ideal(), random_ideal()
+            C = integral_closure(I)
+            self.assert_checked(C, colon(I, J), normalize_translation(I)[0],
+                                star(I, J), star_power(I, rng.randint(0, 3)))
+            dividend = _Dividend(C)
+            for h in dividend.divisors(SearchBudget(None)):
+                self.assert_checked(dividend.ideal(h), dividend.cofactor(h))
+            if dim == 2:
+                self.assert_checked(colon_factorization_2d(C).evaluate())

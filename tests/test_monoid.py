@@ -10,7 +10,7 @@ from icm import monoid
 from icm.errors import (BudgetExceededError, DimensionMismatchError,
                         NotIntegrallyClosedError, NotStarMultipleError)
 from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
-                        unit_ideal)
+                        product, unit_ideal)
 from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
@@ -22,7 +22,7 @@ from icm.polytopes import colon_factorization_2d
 from icm.properties import random_closed_ideal
 from oracles import (closure_lp, divides_by_colon, divides_by_search,
                      factorizations_by_search, irreducible_by_search,
-                     is_facet, vertices_lp)
+                     is_facet, minimal_by_pairs, vertices_lp)
 
 
 def ideal(*gens):
@@ -66,6 +66,36 @@ class TestStar:
         # the monoid has no inverses, so there is no I^-1 to power
         with pytest.raises(ValueError):
             star_power(M2, -1)
+
+    @pytest.mark.parametrize("dim, top, cases", [(2, 4, 40), (3, 2, 15)])
+    def test_against_product_and_lp_oracle(self, dim, top, cases):
+        # star closes the raw pairwise sums; the oracles close the
+        # minimalized product, by facets and by LP bisection, on inputs
+        # that need not be closed
+        rng = random.Random(30 + dim)
+
+        def random_ideal():
+            return minimal_by_pairs(
+                [tuple(rng.randint(0, top) for _ in range(dim))
+                 for _ in range(rng.randint(1, 3))], dim)
+
+        for _ in range(cases):
+            I, J = random_ideal(), random_ideal()
+            S = star(I, J)
+            assert S == integral_closure(product(I, J)), (I, J)
+            assert S == closure_lp(product(I, J)), (I, J)
+
+    def test_adds_no_cached_facets(self):
+        I = parse_ideal("x^5,y^4,z^3,x*y*z")
+        J = parse_ideal("x^2,y^3,z,x*y")
+        before = _facet_inequalities.cache_info().currsize
+        star(I, J)
+        star_power(I, 3)
+        assert _facet_inequalities.cache_info().currsize == before
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            star(M2, M3)
 
 
 class TestQuotientCancel:

@@ -176,6 +176,23 @@ class TestVertices:
                     all(member_lp(other, p) for p in pts)
                     and all(member_lp(pts, q) for q in other)), (pts, other)
 
+    def test_repeated_and_face_points_against_lp_oracle(self):
+        # vertices are read off groups of points with one tight-facet mask:
+        # a repeated vertex makes a group of one point, and a lattice
+        # midpoint of two points lies inside an edge or a face, whose
+        # group's mask a vertex's mask contains
+        rng = random.Random(13)
+        for dim in (2, 3, 4):
+            for _ in range(30):
+                pts = [tuple(2 * a for a in p)
+                       for p in random_points(rng, dim)]
+                pts += [tuple((a + b) // 2 for a, b in zip(p, q))
+                        for p, q in zip(pts, pts[1:])]
+                pts += rng.choices(pts, k=2)
+                rng.shuffle(pts)
+                assert vertices(NewtonPolyhedron(dim, tuple(pts))) == (
+                    vertices_lp(pts)), pts
+
 
 class TestMinkSum:
     def test_maximal_ideal_doubles(self):

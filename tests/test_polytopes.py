@@ -435,12 +435,12 @@ class TestColonFactorization:
 class TestColonEvaluate:
     def test_evaluate_multiplies_once_per_distinct_factor(self, monkeypatch):
         # c copies of (x^a, y^b) are one (x^(c*a), y^(c*b)) up to closure;
-        # multiplying copy by copy would show as one call per copy
+        # adding copy by copy would close one corner per copy
         f = colon_factorization_2d(integral_closure(ideal((40, 0), (0, 40))))
         assert f.num_factors == ((1, 1),) * 40
         calls = []
-        real = polytopes.product
-        monkeypatch.setattr(polytopes, "product",
+        real = polytopes._closure_of_points
+        monkeypatch.setattr(polytopes, "_closure_of_points",
                             lambda *args: calls.append(args) or real(*args))
         assert f.evaluate() == f.base
-        assert len(calls) == 1
+        assert calls == [([(0, 40), (40, 0)], 2)]
