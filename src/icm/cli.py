@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import BudgetExceededError, IdealParseError
-from .ideals import _sorted_antichain, colon, ord_valuation
+from .ideals import MonomialIdeal, colon, ord_valuation
 from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
                      divides, factor_atoms, is_star_irreducible, star)
 from .newton import integral_closure, is_integrally_closed
@@ -59,21 +59,8 @@ def _load_ideals(args):
     if args.json or args.dim is not None:
         return I, J
     dim = max(I.dim, J.dim)
-    return tuple(K if K.dim == dim else _sorted_antichain(
+    return tuple(K if K.dim == dim else MonomialIdeal(
         dim, tuple(g + (0,) * (dim - K.dim) for g in K.gens)) for K in (I, J))
-
-
-def _parse_budget(text):
-    """The --budget flag, else ICM_BUDGET, else the default; a count >= 0."""
-    if text is None:
-        text = os.environ.get("ICM_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {text!r}")
-    return budget
 
 
 def _int_at_least(low):
@@ -203,7 +190,10 @@ def build_parser():
                     "monomial ideals, and the 2D integral polytope group.")
     parser.add_argument("--dim", type=_int_at_least(1), default=None,
                         help="ambient dimension (default: inferred)")
-    parser.add_argument("--budget", default=None,
+    # A string default, here ICM_BUDGET's, goes through the type only when
+    # the flag is absent.
+    parser.add_argument("--budget", type=_int_at_least(0),
+                        default=os.environ.get("ICM_BUDGET", DEFAULT_BUDGET),
                         help="budget for factorization searches and "
                              "decompose2d's reconstruction check "
                              f"(default: $ICM_BUDGET, else {DEFAULT_BUDGET})")
@@ -263,7 +253,6 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        args.budget = _parse_budget(args.budget)
         raw_input_args = {k: v for k, v in vars(args).items()
                           if k not in ("fn", "canonical", "command")}
         result = args.fn(args)

@@ -27,11 +27,11 @@ BudgetExceededError, never a wrong negative.
 Inputs are checked where they enter, by MonomialIdeal.  The ideals built
 here skip those checks where they are sorted antichains by proof: star
 and star_power close their raw points (pairwise sums, dilated
-generators) by a staircase walk (newton._closure_of_points; the closure
-reads only the points' hull, so none is minimalized), _Dividend's
-divisors and cofactors are walks of I's facets, and _split_monomial's R
-is normalize_translation's shift.  The primes (x_i) and
-closed_supersets' candidates keep the checks.
+generators; the closure reads only the points' hull, so none is
+minimalized), _Dividend's divisors and cofactors are walks of I's
+facets, all built by newton._lattice_ideal, and _split_monomial's R is
+normalize_translation's shift.  The primes (x_i) and closed_supersets'
+candidates keep the checks.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ from operator import add, le, mul, sub
 
 from .errors import (BudgetExceededError, NotIntegrallyClosedError,
                      NotStarMultipleError)
-from .ideals import (MonomialIdeal, _check_dims, _sorted_antichain,
-                     box_points, contains, dominates, generator_box,
-                     minimalize, normalize_translation, ord_valuation,
-                     principal_ideal)
-from .newton import (_closure_of_points, _facet_inequalities,
-                     is_integrally_closed, lattice_generators, np_of,
-                     vertices)
+from .ideals import (MonomialIdeal, _check_dims, box_points, contains,
+                     dominates, generator_box, minimalize,
+                     normalize_translation, ord_valuation, principal_ideal)
+from .newton import (_closure_of_points, _facet_inequalities, _lattice_ideal,
+                     _vertex_slacks, is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -144,9 +142,7 @@ class _Dividend:
     def __init__(self, I):
         self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
-        self.vertex_slacks = [
-            (v, [sum(map(mul, c, v)) - m for c, m in self.facets])
-            for v in sorted(vertices(np_of(I)))]
+        self.vertex_slacks = sorted(_vertex_slacks(I.gens, self.facets).items())
 
     def support(self, J):
         """h_J on I's facet normals if J star-divides I, else None.
@@ -167,11 +163,9 @@ class _Dividend:
         return None
 
     def ideal(self, h):
-        """The lattice points of P(h); a divisor's lie in I's box.  The
-        staircase walk yields a sorted antichain, so no check runs."""
-        return _sorted_antichain(len(self.box), tuple(sorted(
-            lattice_generators([(c, t) for (c, _), t in zip(self.facets, h)],
-                               self.box))))
+        """The lattice points of P(h); a divisor's lie in I's box."""
+        return _lattice_ideal([(c, t) for (c, _), t in zip(self.facets, h)],
+                              self.box)
 
     def cofactor(self, h):
         """The K with star(J, K) == I for a J with h = support(J)."""

@@ -1,17 +1,18 @@
 """Newton polyhedra NP(I) = conv(points) + R^d_+ and integral closure.
 
 Every question about a polyhedron (membership of rational points, vertices,
-equality, lattice points for integral closure) is answered from one exact,
-cached half-space description that holds only the facets, with primitive
-integer normals.  2D facets are read off the lower convex chain; in every
-other dimension they come from the double description method.  Vertices
-and equality are read off the facets, so no LP runs.  Integral closure
-is a staircase walk of the generator box that reads each column's lowest
-point of NP(I) off the facets and yields the minimal generators alone;
-they are a sorted antichain by the walk's proof, so the closure skips
-MonomialIdeal's checks.  A one-off point set, such as star's pairwise
-sums, is closed as it is: its facets are built uncached and no
-minimalizing pass runs, since NP reads only the points' hull.
+equality, lattice points for integral closure) is answered from one exact
+half-space description that holds only the facets, with primitive
+integer normals, built once per point set by _facet_inequalities, whose
+cache holds a bounded number of descriptions.  2D facets are read off the
+lower convex chain; in every other dimension they come from the double
+description method.  Vertices and equality are read off the facets, so
+no LP runs.  Integral closure is a staircase walk of a box that reads
+each column's lowest point of NP off the facets and yields the minimal
+generators alone; they are a sorted antichain by the walk's proof, so
+every closure (of an ideal, of a raw point set such as star's pairwise
+sums, of a divisor's facets) is built by _lattice_ideal and skips
+MonomialIdeal's checks.
 The tests check the description against an independent rational LP and
 a rank test of each facet.
 """
@@ -50,7 +51,13 @@ def member(P, q):
 
 
 def vertices(P):
-    """The unique minimal generating set of the polyhedron.
+    """The unique minimal generating set of the polyhedron."""
+    return set(_vertex_slacks(P.points, _facet_inequalities(P.points, P.dim)))
+
+
+def _vertex_slacks(points, facets):
+    """Each vertex v of conv(points) + R^d_+, mapped to its slacks c.v - m
+    on the facets c.x >= m.
 
     The facets tight at a vertex meet in that vertex alone; at any other
     point they meet in a face that holds a vertex too, one tight on more
@@ -58,14 +65,13 @@ def vertices(P):
     the masks compared group by group, not point by point: a group whose
     mask no other group's contains holds one point, a vertex.
     """
-    facets = _facet_inequalities(P.points, P.dim)
     groups = {}
-    for p in set(P.points):
-        tight = sum(1 << i for i, (c, m) in enumerate(facets)
-                    if sum(map(mul, c, p)) == m)
-        groups.setdefault(tight, []).append(p)
-    return {pts[0] for t, pts in groups.items()
-            if not any(s & t == t for s in groups if s != t)}
+    for p in set(points):
+        slack = tuple(sum(map(mul, c, p)) - m for c, m in facets)
+        tight = sum(1 << i for i, s in enumerate(slack) if s == 0)
+        groups.setdefault(tight, (p, slack))
+    return dict(vs for t, vs in groups.items()
+                if not any(s & t == t for s in groups if s != t))
 
 
 def reduce_points(P):
@@ -161,27 +167,24 @@ def _double_description(pts, dim):
     return tuple((r[:dim], -r[dim]) for r, _ in rays if any(r[:dim]))
 
 
-def _facets(pts, dim):
+@lru_cache(maxsize=1024)
+def _facet_inequalities(points, dim):
     """The facets c.x >= m (c >= 0 primitive, m = min of c over the points)
-    of conv(pts) + R^d_+, for sorted distinct pts.  The polyhedron is
-    full-dimensional, so its facets alone cut it out, and distinct facets
-    have distinct normals.
+    of conv(points) + R^d_+.  The polyhedron is full-dimensional, so its
+    facets alone cut it out, and distinct facets have distinct normals.
 
-    2D facets come from the lower convex chain in O(n log n), which is
-    many times faster than the general routine on the small polygons that
+    Cached by the points as given, so an ideal or polyhedron asked again
+    (a dividend, a member test's polyhedron) builds its facets once; the
+    bound on entries keeps a long-lived process's memory bounded.  2D
+    facets come from the lower convex chain in O(n log n), which is many
+    times faster than the general routine on the small polygons that
     dominate closure work; every other dimension, 1 included, takes the
     double description.
     """
+    pts = sorted(set(points))
     if dim == 2:
         return _chain_facets_2d(pts)
     return _double_description(pts, dim)
-
-
-@lru_cache(maxsize=65536)
-def _facet_inequalities(points, dim):
-    """_facets of any points, cached: ideals and polyhedra that are asked
-    again (a dividend, a member test's polyhedron) build theirs once."""
-    return _facets(sorted(set(points)), dim)
 
 
 def lattice_generators(facets, box):
@@ -206,30 +209,31 @@ def lattice_generators(facets, box):
     return staircase([range(b + 1) for b in box], k, lowest)
 
 
-def _closure_generators(I):
-    """The minimal lattice points of NP(I); all lie in the generator box."""
-    return lattice_generators(_facet_inequalities(I.gens, I.dim),
-                              generator_box(I))
+def _lattice_ideal(facets, box):
+    """The ideal of lattice_generators(facets, box).  The walk yields a
+    sorted antichain by its proof, so no check runs."""
+    return _sorted_antichain(
+        len(box), tuple(sorted(lattice_generators(facets, box))))
 
 
 def integral_closure(I):
-    """Closure of a monomial ideal: minimal lattice points of NP(I)."""
-    return _sorted_antichain(I.dim, tuple(sorted(_closure_generators(I))))
+    """Closure of a monomial ideal: minimal lattice points of NP(I), which
+    all lie in the generator box."""
+    return _lattice_ideal(_facet_inequalities(I.gens, I.dim), generator_box(I))
 
 
 def _closure_of_points(points, dim):
-    """Closure of the ideal that the points generate, for a one-off point
-    set such as star's pairwise sums: NP reads only their hull, so no
-    minimalizing pass runs, and the facets are built uncached, so the set
-    never enters _facet_inequalities' cache.  The points' box holds the
-    box of their minimal points, so the walk misses no generator."""
-    pts = sorted(set(points))
-    box = tuple(map(max, zip(*pts)))
-    return _sorted_antichain(
-        dim, tuple(sorted(lattice_generators(_facets(pts, dim), box))))
+    """Closure of the ideal that the points generate, such as star's
+    pairwise sums: NP reads only their hull, so no minimalizing pass runs.
+    The points' box holds the box of their minimal points, so the walk
+    misses no generator."""
+    pts = tuple(points)
+    return _lattice_ideal(_facet_inequalities(pts, dim),
+                          tuple(map(max, zip(*pts))))
 
 
 def is_integrally_closed(I):
     """Each generator of the closure is one of I; stops at the first not."""
     gens = set(I.gens)
-    return all(p in gens for p in _closure_generators(I))
+    return all(p in gens for p in lattice_generators(
+        _facet_inequalities(I.gens, I.dim), generator_box(I)))

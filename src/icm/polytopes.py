@@ -140,8 +140,7 @@ class PolytopeGroupElement:
     neg: IntegralPolytope
 
     def __post_init__(self):
-        if self.pos.dim != self.neg.dim:
-            raise DimensionMismatchError("pos and neg must share a dimension")
+        _check_dims(self.pos, self.neg)
 
     @property
     def dim(self):
@@ -245,58 +244,42 @@ def edge_vector_counts(P):
     return counts
 
 
-def _triangle_axis_edges(v):
-    """Axis-direction edge counts contributed by Triangle(v), v = (a, b)."""
-    a, b = v
-    if a > 0:
-        return {(1, 0): a, (0, 1): b}
-    return {(1, 0): -a, (0, -1): b}
-
-
 def decompose_2d(e, budget=None):
-    """Integer coefficients over the segment/triangle basis.
+    """Integer coefficients over the segment/triangle basis, read off the
+    signed edge counts n = edges(pos) - edges(neg).
 
-    Every non-axis direction pair is covered by exactly one segment and one
-    triangle hypotenuse, so those coefficients read off directly; axis
-    directions are settled afterwards by the two axis segments.  The
-    reconstruction identity is re-checked before returning; it adds one
-    basis copy per unit of coefficient, and those copies are charged to
-    budget (a count, a SearchBudget or None for no bound) before it
-    starts, so BudgetExceededError comes before the work.
+    Each non-axis pair {p, -p}, written with p[0] > 0, is covered by one
+    segment and one triangle, both of direction v = ±p in the upper half.
+    The segment has the edges p and -p once each; the triangle has -p
+    once, (1, 0) p[0] times and (0, ±1) |p[1]| times, the sign that of
+    p[1].  So Segment(v) takes n(p), Triangle(v) takes n(-p) - n(p), and
+    once the triangles' axis edges are taken off, the two axis segments
+    take what is left.  The reconstruction identity is re-checked before
+    returning; it adds one basis copy per unit of coefficient, and those
+    copies are charged to budget (a count, a SearchBudget or None for no
+    bound) before it starts, so BudgetExceededError comes before the work.
     """
     if e.dim != 2:
         raise DimensionMismatchError("basis decomposition is implemented in 2D")
-    n = dict(edge_vector_counts(e.pos))
-    for u, c in edge_vector_counts(e.neg).items():
-        n[u] = n.get(u, 0) - c
-
+    n = Counter(edge_vector_counts(e.pos))
+    n.subtract(edge_vector_counts(e.neg))
     coeffs = {}
-    axis_residual = {(1, 0): n.get((1, 0), 0), (-1, 0): n.get((-1, 0), 0),
-                     (0, 1): n.get((0, 1), 0), (0, -1): n.get((0, -1), 0)}
-    non_axis = {_upper_half(u) for u in n if u[0] != 0 and u[1] != 0}
-    for v in sorted(non_axis):
-        fwd = n.get(v, 0)
-        bwd = n.get((-v[0], -v[1]), 0)
-        # Triangle(v) has hypotenuse direction v when v[0] < 0 and -v when
-        # v[0] > 0; Segment(v) contributes to both directions equally.
-        if v[0] > 0:
-            c_seg, c_tri = fwd, bwd - fwd
-        else:
-            c_seg, c_tri = bwd, fwd - bwd
-        if c_seg:
-            coeffs[BasisElement("segment", v)] = c_seg
-        if c_tri:
-            coeffs[BasisElement("triangle", v)] = c_tri
-            for u, k in _triangle_axis_edges(v).items():
-                axis_residual[u] = axis_residual.get(u, 0) - c_tri * k
+    for a, b in sorted({(a, b) if a > 0 else (-a, -b)
+                        for a, b in n if a and b}):
+        v = _upper_half((a, b))
+        seg, tri = n[(a, b)], n[(-a, -b)] - n[(a, b)]
+        if seg:
+            coeffs[BasisElement("segment", v)] = seg
+        if tri:
+            coeffs[BasisElement("triangle", v)] = tri
+            n[(1, 0)] -= tri * a
+            n[(0, 1) if b > 0 else (0, -1)] -= tri * abs(b)
 
-    if (axis_residual[(1, 0)] != axis_residual[(-1, 0)]
-            or axis_residual[(0, 1)] != axis_residual[(0, -1)]):
+    if n[(1, 0)] != n[(-1, 0)] or n[(0, 1)] != n[(0, -1)]:
         raise AssertionError("edge multiset does not close up; invalid input")
-    if axis_residual[(1, 0)]:
-        coeffs[BasisElement("segment", (1, 0))] = axis_residual[(1, 0)]
-    if axis_residual[(0, 1)]:
-        coeffs[BasisElement("segment", (0, 1))] = axis_residual[(0, 1)]
+    for u in (1, 0), (0, 1):
+        if n[u]:
+            coeffs[BasisElement("segment", u)] = n[u]
 
     _as_budget(budget).spend(sum(map(abs, coeffs.values())))
     if not _reconstructs(e, coeffs):
@@ -337,8 +320,7 @@ class IdealClassElement:
     den: MonomialIdeal
 
     def __post_init__(self):
-        if self.num.dim != self.den.dim:
-            raise DimensionMismatchError("num and den must share a dimension")
+        _check_dims(self.num, self.den)
 
     @property
     def dim(self):

@@ -203,12 +203,24 @@ class TestExitCodes:
         monkeypatch.setenv("ICM_BUDGET", "abc")
         code, out = run(capsys, "closure", "x")
         assert code == 2
-        assert "budget" in out["error"]
+        assert "--budget" in out["error"]
+
+    def test_negative_budget_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("ICM_BUDGET", "-3")
+        code, out = run(capsys, "factor", "x^2,x*y,y^2")
+        assert (code, list(out)) == (2, ["error"])
+        assert "--budget" in out["error"]
 
     def test_negative_budget_flag(self, capsys):
         code, out = run(capsys, "--budget", "-1", "factor", "x^2,x*y,y^2")
-        assert code == 2
-        assert "budget" in out["error"]
+        assert (code, list(out)) == (2, ["error"])
+        assert "--budget" in out["error"]
+
+    def test_budget_flag_overrides_invalid_env(self, capsys, monkeypatch):
+        # the environment default is read only when the flag is absent
+        monkeypatch.setenv("ICM_BUDGET", "abc")
+        code, out = run(capsys, "--budget", "100", "factor", "x^2,x*y,y^2")
+        assert (code, out["result"]["length"]) == (0, "2")
 
     def test_budget_exceeded(self, capsys):
         code, out = run(capsys, "--budget", "1", "factorizations",

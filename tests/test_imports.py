@@ -5,8 +5,10 @@ Package `__init__.py` files are exempt from the import check (their imports
 are re-exports), and so are `from __future__` imports.  No module but
 `feasibility.py` itself imports the LP solver, so no production path solves
 an LP.  No module refers to `closed_supersets`, the antichain walk, but in
-its own definition, so no library query walks antichains.  Every console
-script named in pyproject.toml resolves to a callable entry point.
+its own definition, so no library query walks antichains.  Only `ideals`
+and `newton` build ideals without MonomialIdeal's checks, and only
+`newton` holds a cache.  Every console script named in pyproject.toml
+resolves to a callable entry point.
 """
 
 import ast
@@ -104,6 +106,44 @@ def test_no_antichain_walk_in_production(path):
     vertices instead."""
     assert references(path.read_text(encoding="utf-8"),
                       "closed_supersets") == []
+
+
+def test_detects_a_reference_to_the_unchecked_constructor():
+    source = ("from .ideals import _sorted_antichain as build\n"
+              "import icm.ideals\n"
+              "icm.ideals._sorted_antichain(2, gens)\n")
+    assert references(source, "_sorted_antichain") == [1, 3]
+    assert references("MonomialIdeal(2, gens)\n", "_sorted_antichain") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name not in ("ideals.py", "newton.py")],
+                         ids=lambda p: p.name)
+def test_unchecked_ideals_only_from_walks(path):
+    """_sorted_antichain skips MonomialIdeal's checks; only ideals (colon,
+    the translation shift) and newton (every closure, by _lattice_ideal)
+    build ideals that are sorted antichains by proof, so every other
+    module goes through the checks."""
+    assert references(path.read_text(encoding="utf-8"),
+                      "_sorted_antichain") == []
+
+
+def test_detects_a_cache():
+    for source in ("from functools import lru_cache\n",
+                   "import functools\n@functools.lru_cache(maxsize=None)\n"
+                   "def f(x):\n    return x\n"):
+        assert references(source, "lru_cache"), source
+    assert references("from functools import reduce\n", "lru_cache") == []
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "newton.py"],
+                         ids=lambda p: p.name)
+def test_one_cache_in_production(path):
+    """newton's facet cache, bounded in entries, is the package's only
+    cache, so a long-lived process holds no other memory that grows with
+    the queries it has answered."""
+    assert references(path.read_text(encoding="utf-8"), "lru_cache") == []
 
 
 def _defined_names(stmt):

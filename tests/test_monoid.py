@@ -1,6 +1,8 @@
 import copy
+import gc
 import pickle
 import random
+import tracemalloc
 from itertools import product as iproduct
 from math import gcd
 
@@ -85,13 +87,30 @@ class TestStar:
             assert S == integral_closure(product(I, J)), (I, J)
             assert S == closure_lp(product(I, J)), (I, J)
 
-    def test_adds_no_cached_facets(self):
-        I = parse_ideal("x^5,y^4,z^3,x*y*z")
-        J = parse_ideal("x^2,y^3,z,x*y")
-        before = _facet_inequalities.cache_info().currsize
-        star(I, J)
-        star_power(I, 3)
-        assert _facet_inequalities.cache_info().currsize == before
+    def test_retained_memory_stops_growing(self):
+        # closure and star build their facets through one cache, bounded
+        # in entries: past the bound, more distinct queries retain no more
+        # memory, however long the process runs
+        pairs = [(a, b) for a in range(2, 40) for b in range(2, 40)]
+        random.Random(88).shuffle(pairs)
+        M = ideal((1, 0), (0, 1))
+
+        def retained_after(batch):
+            for a, b in batch:
+                star(integral_closure(ideal((a, 0), (1, 1), (0, b))), M)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        _facet_inequalities.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            full = retained_after(pairs[:600])
+            last = retained_after(pairs[600:])
+        finally:
+            tracemalloc.stop()
+        assert last - full < (full - start) / 4, (start, full, last)
+        assert _facet_inequalities.cache_info().currsize <= 1024
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -25,6 +25,14 @@ def ideal(*gens):
     return MonomialIdeal(len(gens[0]), tuple(sorted(gens)))
 
 
+# The 94 basis elements with |v_1|, v_2 <= 6.
+SMALL_DIRECTIONS = [(a, b) for b in range(7) for a in range(-6, 7)
+                    if gcd(a, b) == 1 and (b > 0 or a > 0)]
+SMALL_BASIS = ([BasisElement("segment", v) for v in SMALL_DIRECTIONS]
+               + [BasisElement("triangle", v) for v in SMALL_DIRECTIONS
+                  if v[0] and v[1]])
+
+
 class TestHull:
     def test_drops_interior_point(self):
         P = hull({(0, 0), (2, 0), (0, 2), (1, 1)}, 2)
@@ -184,7 +192,8 @@ class TestGroupElements:
                            group_element(point_polytope(2)))
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="dimensions differ: 2 vs 3"):
             PolytopeGroupElement(point_polytope(2), point_polytope(3))
 
 
@@ -300,6 +309,17 @@ class TestDecompose2d:
                     right = mink_sum_lp(right, part)
             assert lp_normalized(left) == lp_normalized(right), e
 
+    def test_each_basis_element_decomposes_to_itself(self):
+        for B in SMALL_BASIS:
+            assert decompose_2d(group_element(B.polytope())) == {B: 1}, B
+
+    def test_difference_of_two_basis_elements(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            B, C = rng.sample(SMALL_BASIS, 2)
+            e = group_element(B.polytope(), C.polytope())
+            assert decompose_2d(e) == {B: 1, C: -1}, (B, C)
+
     def test_budget_bounds_the_copies(self):
         e = group_element(hull({(0, 0), (3, 0), (0, 2)}, 2))
         copies = sum(map(abs, decompose_2d(e).values()))
@@ -333,12 +353,8 @@ class TestPhi:
         # colon_factorization_2d reads its factors off this lemma: phi of
         # Segment(-a, b) with a, b > 0 is closure(x^a, y^b), every other
         # basis element goes to the identity
-        dirs = [(a, b) for b in range(7) for a in range(-6, 7)
-                if gcd(a, b) == 1 and (b > 0 or a > 0)]
-        basis = [BasisElement("segment", v) for v in dirs] + \
-            [BasisElement("triangle", v) for v in dirs if v[0] and v[1]]
-        assert len(basis) == 94
-        for B in basis:
+        assert len(SMALL_BASIS) == 94
+        for B in SMALL_BASIS:
             c = phi(B.polytope())
             if B.kind == "segment" and B.v[0] < 0:
                 a, b = -B.v[0], B.v[1]
@@ -364,7 +380,8 @@ class TestIdealClasses:
         assert class_equal_ideal(ideal_class(star(I, J), J), ideal_class(I))
 
     def test_rejects_mixed_dimensions(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="dimensions differ: 2 vs 3"):
             IdealClassElement(unit_ideal(2), unit_ideal(3))
 
 
