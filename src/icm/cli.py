@@ -19,9 +19,9 @@ from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
 from .newton import integral_closure, is_integrally_closed
 from .parsing import (ideal_from_document, ideal_to_document, parse_ideal,
                       parse_points)
-from .polytopes import (colon_factorization_2d, decompose_2d, group_element,
-                        hull, phi)
-from .properties import run_suites
+
+# polytopes and properties are imported by the commands that use them, so
+# the other commands' processes never load them.
 
 
 def _jsonable(value):
@@ -128,6 +128,7 @@ def _cmd_divides(I, J, args):
 
 
 def _cmd_decompose2d(args):
+    from .polytopes import decompose_2d, group_element, hull
     pos = hull(parse_points(args.pos, dim=2), 2)
     neg = hull(parse_points(args.neg, dim=2), 2) if args.neg else None
     coeffs = decompose_2d(group_element(pos, neg), budget=args.budget)
@@ -137,6 +138,7 @@ def _cmd_decompose2d(args):
 
 
 def _cmd_phi(args):
+    from .polytopes import hull, phi
     pts = parse_points(args.points, dim=args.dim)
     P = hull(pts, len(pts[0]))
     c = phi(P)
@@ -145,6 +147,7 @@ def _cmd_phi(args):
 
 
 def _cmd_colon_factor(I, args):
+    from .polytopes import colon_factorization_2d
     f = colon_factorization_2d(I)
     return {"num_monomial": list(f.num_monomial),
             "num_factors": [list(p) for p in f.num_factors]}
@@ -167,6 +170,7 @@ def _cmd_verify(args):
 
 
 def _cmd_props(args):
+    from .properties import run_suites
     names = args.suites if args.suites else None
     report = run_suites(seed=args.seed, cases=args.cases, names=names)
     ok = all(not r["failures"] for r in report.values())

@@ -15,11 +15,10 @@ normalize_translation's shift of an ideal already checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from itertools import product as iter_product
 from math import inf, prod
-from operator import ge
+from operator import attrgetter, ge
 
 from .errors import DimensionMismatchError
 
@@ -29,30 +28,68 @@ def dominates(a, b):
     return all(map(ge, a, b))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    dim: int
-    gens: tuple  # sorted tuple of exponent tuples, an antichain
+class _Record:
+    """An immutable record whose fields a subclass names in __slots__ (two
+    or more, so _fields returns a tuple) and sets in its own __init__ with
+    object.__setattr__.  Records are equal when their classes and fields
+    are, hash as the tuple of their fields, print as Class(field=value,
+    ...) and pickle by their constructor, as frozen dataclasses do,
+    without the import and class-building cost of dataclasses."""
 
-    def __post_init__(self):
-        if self.dim < 1:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MonomialIdeal(_Record):
+    # gens: a sorted tuple of exponent tuples, an antichain
+    __slots__ = ("dim", "gens")
+
+    def __init__(self, dim, gens):
+        if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        _check_points(self.gens, self.dim, "generator")
-        for g in self.gens:
+        _check_points(gens, dim, "generator")
+        for g in gens:
             if any(e < 0 for e in g):
                 raise ValueError(f"negative exponent in generator {g}")
-        if any(g >= h for g, h in zip(self.gens, self.gens[1:])):
+        if any(g >= h for g, h in zip(gens, gens[1:])):
             raise ValueError("generators must be stored sorted, without repeats")
         # Of two distinct generators, the one dominating has the larger
         # degree, so each is compared only with those of lower degree.
         lower = []
-        for _, same in groupby(sorted(self.gens, key=sum), key=sum):
+        for _, same in groupby(sorted(gens, key=sum), key=sum):
             same = list(same)
             for g, h in iter_product(same, lower):
                 if dominates(g, h):
                     raise ValueError(
                         f"generators are not an antichain: {g} dominates {h}")
             lower += same
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "gens", gens)
 
     @property
     def is_unit(self):

@@ -36,13 +36,12 @@ candidates keep the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, inf
 from operator import add, le, mul, sub
 
 from .errors import (BudgetExceededError, NotIntegrallyClosedError,
                      NotStarMultipleError)
-from .ideals import (MonomialIdeal, _check_dims, box_points, contains,
+from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
 from .newton import (_closure_of_points, _facet_inequalities, _lattice_ideal,
@@ -281,10 +280,13 @@ def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     return _proper_split(R, _as_budget(budget)) is None
 
 
-@dataclass(frozen=True)
-class Factorization:
-    base: MonomialIdeal
-    atoms: tuple  # canonically sorted by generator list
+class Factorization(_Record):
+    # atoms: a tuple of ideals, canonically sorted by generator list
+    __slots__ = ("base", "atoms")
+
+    def __init__(self, base, atoms):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "atoms", atoms)
 
     def __len__(self):
         return len(self.atoms)

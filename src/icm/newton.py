@@ -19,22 +19,23 @@ a rank test of each facet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, inf
 from operator import mul
 
-from .ideals import (_check_dims, _check_points, _sorted_antichain,
+from .ideals import (_Record, _check_dims, _check_points, _sorted_antichain,
                      generator_box, minimalize, staircase)
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
-    dim: int
-    points: tuple  # sorted tuple of exponent tuples; conv(points) + R^d_+
+class NewtonPolyhedron(_Record):
+    # points: a sorted tuple of exponent tuples; the polyhedron is
+    # conv(points) + R^d_+
+    __slots__ = ("dim", "points")
 
-    def __post_init__(self):
-        _check_points(self.points, self.dim, "point")
+    def __init__(self, dim, points):
+        _check_points(points, dim, "point")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "points", points)
 
 
 def np_of(I):

@@ -18,8 +18,10 @@ _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"
                     r"|(?P<one>1)|(?P<zero>0))")
 
 
-def _parse_generator(text, offset):
-    """One monomial -> dict var_index -> exponent, or None for the unit."""
+def _parse_generator(text, offset, dim):
+    """One monomial -> dict var_index -> exponent, empty for the unit.
+    Unless dim is None, a variable of index above dim is an error at its
+    offset."""
     pos = 0
     powers = {}
     expect_factor = True
@@ -49,6 +51,10 @@ def _parse_generator(text, offset):
         if index < 1:
             raise IdealParseError(f"variable index must be >= 1, got {var}",
                                   offset + m.start("var"))
+        if dim is not None and index > dim:
+            raise IdealParseError(
+                f"variable index {index} exceeds dimension {dim}",
+                offset + m.start("var"))
         exp = int(m.group("exp")) if m.group("exp") else 1
         powers[index] = powers.get(index, 0) + exp
         pos = m.end()
@@ -65,14 +71,10 @@ def parse_ideal(text, dim=None):
     gens = []
     offset = 0
     for chunk in text.split(","):
-        gens.append(_parse_generator(chunk, offset))
+        gens.append(_parse_generator(chunk, offset, dim))
         offset += len(chunk) + 1
-    max_index = max((i for g in gens for i in g), default=1)
     if dim is None:
-        dim = max_index
-    elif max_index > dim:
-        raise IdealParseError(
-            f"variable index {max_index} exceeds dimension {dim}", 0)
+        dim = max((i for g in gens for i in g), default=1)
     points = [tuple(g.get(i + 1, 0) for i in range(dim)) for g in gens]
     return minimalize(points, dim)
 

@@ -12,25 +12,25 @@ merging the two edge cycles in angle order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .ideals import (MonomialIdeal, _check_dims, _check_points, minimalize,
+from .ideals import (_Record, _check_dims, _check_points, minimalize,
                      normalize_translation, unit_ideal)
 from .monoid import _as_budget, _require_closed, star
 from .newton import (NewtonPolyhedron, _closure_of_points, convex_chain,
                      integral_closure, vertices)
 
 
-@dataclass(frozen=True)
-class IntegralPolytope:
-    dim: int
-    verts: tuple  # sorted tuple of integer points; exactly the vertex set
+class IntegralPolytope(_Record):
+    # verts: a sorted tuple of integer points, exactly the vertex set
+    __slots__ = ("dim", "verts")
 
-    def __post_init__(self):
-        _check_points(self.verts, self.dim, "vertex")
+    def __init__(self, dim, verts):
+        _check_points(verts, dim, "vertex")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "verts", verts)
 
 
 def hull(points, dim):
@@ -133,14 +133,14 @@ def shadow(P):
     return hull(set(P.verts) | proj, P.dim)
 
 
-@dataclass(frozen=True)
-class PolytopeGroupElement:
+class PolytopeGroupElement(_Record):
     """Formal difference [pos] - [neg] of translation classes."""
-    pos: IntegralPolytope
-    neg: IntegralPolytope
+    __slots__ = ("pos", "neg")
 
-    def __post_init__(self):
-        _check_dims(self.pos, self.neg)
+    def __init__(self, pos, neg):
+        _check_dims(pos, neg)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
 
     @property
     def dim(self):
@@ -185,10 +185,14 @@ def _upper_half(v):
     return (-v[0], -v[1])
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    kind: str  # "segment" | "triangle"
-    v: tuple   # primitive direction, upper-half normalized
+class BasisElement(_Record):
+    # kind: "segment" or "triangle"; v: a primitive direction, upper-half
+    # normalized
+    __slots__ = ("kind", "v")
+
+    def __init__(self, kind, v):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "v", v)
 
     def polytope(self):
         if self.kind == "segment":
@@ -313,14 +317,14 @@ def _reconstructs(e, coeffs):
 # The surjection onto ideal classes
 
 
-@dataclass(frozen=True)
-class IdealClassElement:
+class IdealClassElement(_Record):
     """Formal fraction [num, den] modulo monomial (principal) classes."""
-    num: MonomialIdeal
-    den: MonomialIdeal
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        _check_dims(self.num, self.den)
+    def __init__(self, num, den):
+        _check_dims(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def dim(self):
@@ -370,17 +374,19 @@ def ideal_to_polytope(I):
 # Colon-ideal factorization over the 2D basis
 
 
-@dataclass(frozen=True)
-class ColonFactorization:
+class ColonFactorization(_Record):
     """I as x^num_monomial * closure(prod (x^a, y^b)), one (a, b) per copy.
 
     No denominator is needed: by Zariski's theorem a closed 2D ideal is a
     monomial times a star product of closures of (x^a, y^b), so the colon
     by a trivial denominator is the numerator itself.
     """
-    base: MonomialIdeal
-    num_monomial: tuple
-    num_factors: tuple
+    __slots__ = ("base", "num_monomial", "num_factors")
+
+    def __init__(self, base, num_monomial, num_factors):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "num_monomial", num_monomial)
+        object.__setattr__(self, "num_factors", num_factors)
 
     def evaluate(self):
         """NP of a product is the Minkowski sum of the factors' NPs,

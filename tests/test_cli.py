@@ -1,6 +1,10 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,12 @@ class TestExitCodes:
         code, out = run(capsys, "closure", "x^")
         assert code == 1
         assert "position" in out
+
+    def test_index_beyond_dim_points_at_the_variable(self, capsys):
+        code, out = run(capsys, "--dim", "1", "star", "x", "x,y")
+        assert (code, out) == (1, {
+            "error": "variable index 2 exceeds dimension 1 (at position 2)",
+            "position": 2})
 
     def test_precondition_violation(self, capsys):
         code, out = run(capsys, "irreducible?", "x^2,y^2")
@@ -391,3 +401,30 @@ class TestFuzz:
             assert len(lines) == 1, argv
             assert isinstance(json.loads(lines[0]), dict), argv
             assert code in {0, 1, 2, 3}, argv
+
+
+class TestFreshInterpreter:
+    """Each README command, and the budget error, run by `python -m icm.cli`
+    in a new interpreter, prints what main() prints in this one and exits
+    with the documented code.  In this process every module is loaded by
+    earlier tests, so only a new one shows a command whose handler misses
+    an import that the CLI loads per command."""
+
+    COMMANDS = [(argv, 0) for argv in TestFuzz.README] + [
+        (["verify", "lipman"], 0),
+        (["props", "--seed", "0", "--cases", "200"], 0),
+        (["--budget", "1", "factor", "x^2,x*y,y^2"], 3),
+    ]
+
+    @pytest.mark.parametrize("argv, code", COMMANDS,
+                             ids=[" ".join(argv) for argv, _ in COMMANDS])
+    def test_same_json_as_in_process(self, capsys, argv, code):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "icm.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert main(list(argv)) == code
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert proc.stdout == capsys.readouterr().out

@@ -9,10 +9,18 @@ its own definition, so no library query walks antichains.  Only `ideals`
 and `newton` build ideals without MonomialIdeal's checks, and only
 `newton` holds a cache.  Every console script named in pyproject.toml
 resolves to a callable entry point.
+
+Start-up: a fresh `import icm` loads no submodule, and a fresh `import
+icm.cli` loads neither `dataclasses` nor the modules only some commands
+run (`polytopes`, `properties`, `feasibility`), while every public name
+still resolves to its home module's object.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,3 +211,93 @@ def test_console_script_targets_resolve():
         module, function = target.split(":")
         main = getattr(importlib.import_module(module), function)
         assert main(["ord", "x"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Start-up: what a fresh process loads
+
+# Every name icm/__init__.py bound when it imported its submodules eagerly,
+# by home module.
+PUBLIC = {
+    "errors": ["BudgetExceededError", "DimensionMismatchError",
+               "IdealParseError", "NotIntegrallyClosedError",
+               "NotStarMultipleError"],
+    "ideals": ["MonomialIdeal", "colon", "contains", "intersection",
+               "minimalize", "normalize_translation", "ord_valuation",
+               "principal_ideal", "product", "translate", "unit_ideal"],
+    "newton": ["NewtonPolyhedron", "integral_closure", "is_integrally_closed",
+               "member", "mink_sum", "np_equal", "np_of", "reduce_points",
+               "vertices"],
+    "monoid": ["Factorization", "SearchBudget", "all_factorizations",
+               "divides", "factor_atoms", "is_star_irreducible",
+               "quotient_cancel", "star", "star_power"],
+    "polytopes": ["BasisElement", "ColonFactorization", "IdealClassElement",
+                  "IntegralPolytope", "PolytopeGroupElement", "basis_segment",
+                  "basis_triangle", "class_equal", "class_equal_ideal",
+                  "colon_factorization_2d", "decompose_2d",
+                  "edge_vector_counts", "group_add", "group_element",
+                  "group_negate", "height", "hull", "ideal_class",
+                  "ideal_to_polytope", "p_mink_sum", "phi", "phi_group",
+                  "shadow"],
+    "parsing": ["parse_ideal", "render_ideal"],
+}
+# polytopes and properties load only with the commands that run them,
+# feasibility only with the test oracles, dataclasses never.
+NOT_AT_CLI_START = {"dataclasses", "icm.polytopes", "icm.properties",
+                    "icm.feasibility"}
+
+
+def modules_after(statements):
+    """Every module a fresh interpreter has loaded once it has run the
+    statements, with this checkout's package first on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    probe = statements + "\nimport sys\nprint(*sorted(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return set(proc.stdout.split())
+
+
+def test_detects_a_loaded_module():
+    loaded = modules_after("import dataclasses\nimport icm.polytopes")
+    assert {"dataclasses", "icm.polytopes", "icm.monoid"} <= loaded
+    assert "icm.polytopes" not in modules_after("pass")
+    with pytest.raises(subprocess.CalledProcessError):
+        modules_after("import icm.no_such_module")
+
+
+def test_cli_start_loads_only_what_every_command_needs():
+    loaded = modules_after("import icm.cli")
+    assert "icm.cli" in loaded
+    assert loaded & NOT_AT_CLI_START == set()
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = modules_after("import icm")
+    assert "icm" in loaded
+    assert {m for m in loaded if m.startswith("icm.")} == set()
+
+
+def test_submodule_attribute_after_bare_import():
+    loaded = modules_after("import icm\nassert icm.newton.np_of")
+    assert "icm.newton" in loaded
+    assert "icm.polytopes" not in loaded
+
+
+def test_public_names_resolve_to_their_home_module():
+    icm = importlib.import_module("icm")
+    listed = dir(icm)
+    for home, names in PUBLIC.items():
+        module = importlib.import_module(f"icm.{home}")
+        for name in names:
+            assert getattr(icm, name) is getattr(module, name), name
+            assert name in icm.__all__ and name in listed, name
+
+
+def test_unknown_name_raises_attribute_error():
+    icm = importlib.import_module("icm")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        icm.no_such_name
+    with pytest.raises(ImportError):
+        exec("from icm import no_such_name", {})

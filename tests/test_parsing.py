@@ -57,6 +57,18 @@ class TestParseErrors:
         with pytest.raises(IdealParseError):
             parse_ideal("x3", dim=2)
 
+    @pytest.mark.parametrize("text, dim, position, index", [
+        ("x3", 2, 0, 3), ("x,y", 1, 2, 2), ("x^2,x*z", 2, 6, 3),
+        ("x*y, x1*x5^2", 2, 8, 5)])
+    def test_index_beyond_dim_position(self, text, dim, position, index):
+        """The position is the offset of the first variable whose index
+        exceeds dim, as for x0."""
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal(text, dim=dim)
+        assert exc.value.position == position
+        assert str(exc.value).startswith(
+            f"variable index {index} exceeds dimension {dim}")
+
     @pytest.mark.parametrize("text, position", [
         ("x0^2", 0), ("y*x0", 2), ("x, y*x0", 5)])
     def test_variable_index_zero(self, text, position):
