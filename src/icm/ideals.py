@@ -7,10 +7,13 @@ ideal is not representable (constructors reject empty generator sets).
 
 Validation happens once, at the boundary: MonomialIdeal(...) checks every
 generator it is given, the antichain property included, which costs
-quadratic time in the worst case.  Outputs that are sorted antichains by
-proof skip the checks through _sorted_antichain: the staircase walk's
-(colon here, integral closure and the divisor ideals downstream) and
-normalize_translation's shift of an ideal already checked.
+quadratic time in the worst case.  Domination has one owner, the degree
+sweep _minimal, which MonomialIdeal's antichain check and minimalize
+share.  Outputs that are sorted antichains by proof skip the checks
+through _sorted_antichain: minimalize's sweep (its input points are
+checked once, before it), the staircase walk's (colon here, integral
+closure and the divisor ideals downstream) and normalize_translation's
+shift of an ideal already checked.
 """
 
 from __future__ import annotations
@@ -70,24 +73,15 @@ class MonomialIdeal(_Record):
     __slots__ = ("dim", "gens")
 
     def __init__(self, dim, gens):
-        if dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        _check_points(gens, dim, "generator")
-        for g in gens:
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in generator {g}")
+        _check_generators(gens, dim)
         if any(g >= h for g, h in zip(gens, gens[1:])):
             raise ValueError("generators must be stored sorted, without repeats")
-        # Of two distinct generators, the one dominating has the larger
-        # degree, so each is compared only with those of lower degree.
-        lower = []
-        for _, same in groupby(sorted(gens, key=sum), key=sum):
-            same = list(same)
-            for g, h in iter_product(same, lower):
-                if dominates(g, h):
-                    raise ValueError(
-                        f"generators are not an antichain: {g} dominates {h}")
-            lower += same
+        dropped = set(gens).difference(_minimal(gens))
+        if dropped:
+            g = min(dropped)
+            h = next(h for h in gens if dominates(g, h))
+            raise ValueError(
+                f"generators are not an antichain: {g} dominates {h}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "gens", gens)
 
@@ -111,18 +105,25 @@ def _sorted_antichain(dim, gens):
     return ideal
 
 
-def minimalize(points, dim):
-    """Ideal generated by the given exponent vectors: keep the <=-minimal ones.
+def _minimal(points):
+    """The <=-minimal ones of distinct points, swept by total degree.
 
-    Points are swept by total degree.  A point strictly above another has a
-    larger degree, so every minimal point below it was already kept.
-    """
-    pts = sorted(set(map(tuple, points)), key=sum)
+    A point strictly above another has a larger degree, so each degree's
+    points are compared only with the minimal points of lower degree."""
     minimal = []
-    for p in pts:
-        if not any(dominates(p, q) for q in minimal):
-            minimal.append(p)
-    return MonomialIdeal(dim, tuple(sorted(minimal)))
+    for _, same in groupby(sorted(points, key=sum), key=sum):
+        minimal += [p for p in same
+                    if not any(dominates(p, q) for q in minimal)]
+    return minimal
+
+
+def minimalize(points, dim):
+    """Ideal generated by the given exponent vectors: keep the <=-minimal
+    ones.  The points are checked once, as MonomialIdeal checks its
+    generators, and the sweep's output is an antichain by proof."""
+    pts = set(map(tuple, points))
+    _check_generators(pts, dim)
+    return _sorted_antichain(dim, tuple(sorted(_minimal(pts))))
 
 
 def unit_ideal(dim):
@@ -137,6 +138,17 @@ def principal_ideal(exponent):
 def _check_dims(I, J):
     if I.dim != J.dim:
         raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
+
+
+def _check_generators(gens, dim):
+    """MonomialIdeal's checks of dim and of each generator's length and
+    signs, the antichain property aside."""
+    if dim < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    _check_points(gens, dim, "generator")
+    for g in gens:
+        if any(e < 0 for e in g):
+            raise ValueError(f"negative exponent in generator {g}")
 
 
 def _check_points(points, dim, what):

@@ -4,13 +4,17 @@ Grammar for ideals: generators separated by commas; a generator is a
 '*'-separated list of factors `x<i>` or `x<i>^<n>`, with aliases x, y, z, w
 for the first four variables; `1` is the unit generator.  The ambient
 dimension is the largest variable index seen unless given explicitly.
+
+Each generator is split on '*' and each piece matched once, so a syntax
+error is reported at the offset of the piece, or of the text after its
+factor, where it is found.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import IdealParseError
+from .errors import DimensionMismatchError, IdealParseError
 from .ideals import minimalize
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
@@ -20,47 +24,36 @@ _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"
 
 def _parse_generator(text, offset, dim):
     """One monomial -> dict var_index -> exponent, empty for the unit.
-    Unless dim is None, a variable of index above dim is an error at its
-    offset."""
-    pos = 0
+    Each '*'-separated piece is matched once against _TOKEN; an error is
+    reported at the offset of what is wrong in it.  Unless dim is None, a
+    variable of index above dim is an error at its offset."""
     powers = {}
-    expect_factor = True
-    while pos < len(text):
-        if not expect_factor:
-            star = re.match(r"\s*\*", text[pos:])
-            if star:
-                pos += star.end()
-                expect_factor = True
-                continue
-            if text[pos:].strip() == "":
-                break
-            raise IdealParseError("expected '*' between factors",
-                                  offset + pos)
-        m = _TOKEN.match(text, pos)
+    pieces = text.split("*")
+    start = offset
+    for n, piece in enumerate(pieces, 1):
+        m = _TOKEN.match(piece)
         if not m:
-            raise IdealParseError("expected a variable factor", offset + pos)
+            if not piece and n == len(pieces):
+                raise IdealParseError("empty generator", offset)
+            raise IdealParseError("expected a variable factor", start)
         if m.group("zero"):
             raise IdealParseError("the zero monomial cannot generate",
-                                  offset + m.start("zero"))
-        if m.group("one"):
-            pos = m.end()
-            expect_factor = False
-            continue
+                                  start + m.start("zero"))
         var = m.group("var")
-        index = _ALIASES[var] if var in _ALIASES else int(var[1:])
-        if index < 1:
-            raise IdealParseError(f"variable index must be >= 1, got {var}",
-                                  offset + m.start("var"))
-        if dim is not None and index > dim:
-            raise IdealParseError(
-                f"variable index {index} exceeds dimension {dim}",
-                offset + m.start("var"))
-        exp = int(m.group("exp")) if m.group("exp") else 1
-        powers[index] = powers.get(index, 0) + exp
-        pos = m.end()
-        expect_factor = False
-    if expect_factor:
-        raise IdealParseError("empty generator", offset)
+        if var:
+            index = _ALIASES[var] if var in _ALIASES else int(var[1:])
+            at = start + m.start("var")
+            if index < 1:
+                raise IdealParseError(
+                    f"variable index must be >= 1, got {var}", at)
+            if dim is not None and index > dim:
+                raise IdealParseError(
+                    f"variable index {index} exceeds dimension {dim}", at)
+            powers[index] = powers.get(index, 0) + int(m.group("exp") or 1)
+        if piece[m.end():].strip():
+            raise IdealParseError("expected '*' between factors",
+                                  start + m.end())
+        start += len(piece) + 1
     return powers
 
 
@@ -132,7 +125,8 @@ def _document_ints(values):
 
 def ideal_from_document(doc):
     """IdealDocument JSON: {"vars": d, "gens": [[...], ...]} with integer
-    entries, possibly as decimal strings."""
+    entries, possibly as decimal strings.  A generator whose length is not
+    d is an error that names it."""
     try:
         dim = _document_ints([doc["vars"]])[0]
         gens = [_document_ints(g) for g in doc["gens"]]
@@ -140,7 +134,10 @@ def ideal_from_document(doc):
         raise IdealParseError(f"bad ideal document: {ex}", 0) from None
     if any(v < 0 for g in gens for v in g):
         raise IdealParseError("negative exponent in ideal document", 0)
-    return minimalize(gens, dim)
+    try:
+        return minimalize(gens, dim)
+    except DimensionMismatchError as ex:
+        raise IdealParseError(f"bad ideal document: {ex}", 0) from None
 
 
 def ideal_to_document(I):

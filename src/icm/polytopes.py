@@ -361,8 +361,9 @@ def phi(P):
 
 
 def phi_group(e):
-    """phi extended to formal differences of polytopes."""
-    return ideal_class(phi(e.pos).num, phi(e.neg).num)
+    """phi extended to formal differences of polytopes.  phi's parts are
+    closed and translation-normalized already, so none is closed again."""
+    return IdealClassElement(phi(e.pos).num, phi(e.neg).num)
 
 
 def ideal_to_polytope(I):
@@ -410,26 +411,22 @@ class ColonFactorization(_Record):
 
 def colon_factorization_2d(I):
     """Express a closed 2D ideal as a monomial times a star product of
-    closures of (x^a, y^b), read off the basis decomposition of its
-    generator polygon.
+    closures of (x^a, y^b), read off the edges of its generator polygon.
 
     phi sends Segment(-a, b) with a, b > 0 to the class of
     closure(x^a, y^b) and every other basis element to the identity
-    (tests/test_polytopes.py::TestPhi checks it for |v_1|, v_2 <= 6), so
-    each such segment of coefficient c gives c copies of (a, b).  That
-    coefficient is an edge's lattice length, never negative.  The
-    returned expression is checked to evaluate back to I exactly.
+    (tests/test_polytopes.py::TestPhi checks it for |v_1|, v_2 <= 6).
+    Segment(-a, b)'s coefficient in decompose_2d is the lattice length c
+    of the polygon's edges in direction (a, -b), its lower chain's, so
+    each such direction gives c copies of (a, b).  The returned expression
+    is checked, once, to evaluate back to I exactly.
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
     _require_closed(I, "input")
-    coeffs = decompose_2d(group_element(hull(I.gens, 2)))
-    factors = []
-    for B, c in coeffs.items():
-        if B.kind == "segment" and B.v[0] < 0 < B.v[1]:
-            factors.extend([(-B.v[0], B.v[1])] * c)
-    f = ColonFactorization(I, normalize_translation(I)[1],
-                           tuple(sorted(factors)))
+    counts = edge_vector_counts(hull(I.gens, 2)).items()
+    f = ColonFactorization(I, normalize_translation(I)[1], tuple(sorted(
+        (a, -b) for (a, b), c in counts if a > 0 > b for _ in range(c))))
     if f.evaluate() != I:
-        raise AssertionError("basis segments do not recombine to the input")
+        raise AssertionError("edge counts do not recombine to the input")
     return f

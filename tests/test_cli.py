@@ -209,6 +209,19 @@ class TestExitCodes:
         assert code == 1
         assert "position" in out
 
+    @pytest.mark.parametrize("gens", [
+        [["1", "0"], ["0", "1"], ["1", "1", "1"]], [[0, 0], [1]],
+    ], ids=["long", "short"])
+    def test_wrong_length_json_generator(self, capsys, tmp_path, gens):
+        """A generator whose length is not vars is neither dropped nor
+        truncated: exit 1, naming it."""
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"vars": "2", "gens": gens}))
+        code, out = run(capsys, "--json", "closure", str(path))
+        assert code == 1
+        assert out["position"] == 0
+        assert "has length" in out["error"] and "expected 2" in out["error"]
+
     def test_non_integer_budget_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ICM_BUDGET", "abc")
         code, out = run(capsys, "closure", "x")

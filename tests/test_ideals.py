@@ -1,4 +1,6 @@
 import random
+import re
+from ast import literal_eval
 
 import pytest
 
@@ -71,6 +73,44 @@ class TestMinimalize:
             pts = [tuple(rng.randint(0, 4) for _ in range(dim))
                    for _ in range(rng.randint(1, 40))]
             assert minimalize(pts, dim) == minimal_by_pairs(pts, dim), pts
+
+    @pytest.mark.parametrize("pts, dim", [
+        ({(0, 0), (1, 1, 1)}, 2), ({(0, 0, 0), (1, 1)}, 3), ({(1,), (0, 3)}, 2)
+    ], ids=["long-dropped", "short-dropped", "short-kept"])
+    def test_rejects_wrong_length(self, pts, dim):
+        """Checked before the sweep, so a long point is not compared on its
+        first dim coordinates only, nor a short one on its own."""
+        with pytest.raises(DimensionMismatchError):
+            minimalize(pts, dim)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_sweep_and_antichain_check_against_pairwise_oracle(self, dim):
+        """Seeded point sets with repeats, mixed degrees and at times the
+        unit: minimalize keeps the oracle's points, and MonomialIdeal takes
+        a sorted set exactly when the oracle keeps all of it, else names a
+        generator and one it dominates."""
+        rng = random.Random(500 + dim)
+        for _ in range(300):
+            top = rng.choice([1, 3, 8])
+            pts = [tuple(rng.randint(0, top) for _ in range(dim))
+                   for _ in range(rng.randint(1, 12))]
+            pts += rng.choices(pts, k=rng.randint(0, 4))
+            if rng.random() < 0.2:
+                pts.append((0,) * dim)
+            oracle = minimal_by_pairs(pts, dim)
+            assert minimalize(pts, dim) == oracle, pts
+            gens = tuple(sorted(set(pts)))
+            if gens == oracle.gens:
+                assert MonomialIdeal(dim, gens) == oracle
+                continue
+            with pytest.raises(ValueError) as exc:
+                MonomialIdeal(dim, gens)
+            named = re.fullmatch(r"generators are not an antichain: "
+                                 r"(\(.*\)) dominates (\(.*\))",
+                                 str(exc.value))
+            g, h = map(literal_eval, named.groups())
+            assert exc.type is ValueError and g in gens and h in gens
+            assert g != h and all(a >= b for a, b in zip(g, h))
 
 
 class TestProduct:

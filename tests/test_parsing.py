@@ -49,6 +49,43 @@ class TestParseErrors:
             parse_ideal(text)
         assert exc.value.position >= 0
 
+    @pytest.mark.parametrize("text, dim, message, position", [
+        ("", None, "empty input", 0),
+        (" ", None, "empty input", 0),
+        ("*", None, "expected a variable factor", 0),
+        ("*x*", None, "expected a variable factor", 0),
+        ("x*", None, "empty generator", 0),
+        ("1*", None, "empty generator", 0),
+        ("x,,y", None, "empty generator", 2),
+        ("x*y,", None, "empty generator", 4),
+        ("x,y*", None, "empty generator", 2),
+        ("x* ", None, "expected a variable factor", 2),
+        (" ,x", None, "expected a variable factor", 0),
+        ("x**y", None, "expected a variable factor", 2),
+        ("^2", None, "expected a variable factor", 0),
+        ("x y", None, "expected '*' between factors", 1),
+        ("xy", None, "expected '*' between factors", 1),
+        ("x+y", None, "expected '*' between factors", 1),
+        ("x^", None, "expected '*' between factors", 1),
+        ("x^2^3", None, "expected '*' between factors", 3),
+        ("x^2 y", None, "expected '*' between factors", 3),
+        ("x * 1 z", None, "expected '*' between factors", 5),
+        ("x*y, z^2*x1^", None, "expected '*' between factors", 11),
+        ("y*x0", None, "variable index must be >= 1, got x0", 2),
+        ("x0*", None, "variable index must be >= 1, got x0", 0),
+        ("x3", 2, "variable index 3 exceeds dimension 2", 0),
+        ("0", None, "the zero monomial cannot generate", 0),
+        ("x, y*0", None, "the zero monomial cannot generate", 5),
+    ])
+    def test_error_table(self, text, dim, message, position):
+        """Every error the grammar raises, with its exact message and
+        offset: an empty last factor is an empty generator at the
+        generator's offset, a piece with no factor is reported at the
+        piece, and text after a factor where that factor ends."""
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal(text, dim=dim)
+        assert exc.value.args == (message, position)
+
     def test_zero_monomial(self):
         with pytest.raises(IdealParseError):
             parse_ideal("0")
@@ -138,6 +175,18 @@ class TestDocuments:
     def test_negative_rejected(self):
         with pytest.raises(IdealParseError):
             ideal_from_document({"vars": 2, "gens": [[-1, 0]]})
+
+    @pytest.mark.parametrize("gens, bad, length", [
+        ([["1", "0"], ["0", "1"], ["1", "1", "1"]], "(1, 1, 1)", 3),
+        ([[0, 0], [1]], "(1,)", 1),
+    ], ids=["long", "short"])
+    def test_wrong_length_generator_rejected(self, gens, bad, length):
+        """Neither dropped by the sweep nor truncated: the error names the
+        generator."""
+        with pytest.raises(IdealParseError) as exc:
+            ideal_from_document({"vars": "2", "gens": gens})
+        assert exc.value.args == (f"bad ideal document: generator {bad} "
+                                  f"has length {length}, expected 2", 0)
 
     @pytest.mark.parametrize("doc", [
         {"vars": 2, "gens": [[1.5, 0], [0, 2]]},

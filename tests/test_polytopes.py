@@ -349,6 +349,15 @@ class TestPhi:
         assert class_equal_ideal(phi_group(e2),
                                  ideal_class(ideal((2, 0), (1, 2), (0, 3))))
 
+    def test_phi_group_closes_nothing_twice(self):
+        # phi's parts are closed and normalized already, so taking them as
+        # they are gives the class that closing them again gave
+        rng = random.Random(41)
+        for k in range(60):
+            e = group_element(raw_polygon(rng, k % 4), raw_polygon(rng, 3))
+            assert phi_group(e) == ideal_class(phi(e.pos).num,
+                                               phi(e.neg).num), e
+
     def test_only_up_left_segments_leave_identity(self):
         # colon_factorization_2d reads its factors off this lemma: phi of
         # Segment(-a, b) with a, b > 0 is closure(x^a, y^b), every other
@@ -447,6 +456,20 @@ class TestColonFactorization:
                         for a, b in f.num_factors])
             assert factor_atoms(I).atoms == tuple(
                 sorted(atoms, key=lambda a: a.gens)), I
+
+    def test_factors_are_the_basis_segment_coefficients(self):
+        # the edge counts agree with the basis route, c copies of (a, b)
+        # for each Segment(-a, b) of coefficient c, on every closed ideal
+        # in box (7,7)
+        closed = list(closed_supersets(ideal((7, 7)), budget=None))
+        assert len(closed) == 2739
+        for I in closed:
+            expected = []
+            for B, c in decompose_2d(group_element(hull(I.gens, 2))).items():
+                if B.kind == "segment" and B.v[0] < 0 < B.v[1]:
+                    expected += [(-B.v[0], B.v[1])] * c
+            assert colon_factorization_2d(I).num_factors == tuple(
+                sorted(expected)), I
 
 
 class TestColonEvaluate:
