@@ -108,10 +108,9 @@ def _cmd_factor(I, args):
 
 def _cmd_factorizations(I, args):
     results = all_factorizations(integral_closure(I), budget=args.budget)
-    as_lists = sorted([a.gens for a in fz] for fz in results)
-    rendered = [[{"gens": [list(g) for g in gens]} for gens in fz]
-                for fz in as_lists]
-    return {"count": len(results), "factorizations": rendered}
+    ordered = sorted(results, key=lambda fz: [a.gens for a in fz])
+    return {"count": len(results), "factorizations": [
+        [ideal_to_document(a) for a in fz] for fz in ordered]}
 
 
 def _cmd_irreducible(I, args):

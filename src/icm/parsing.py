@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DimensionMismatchError, IdealParseError
+from .errors import IdealParseError
 from .ideals import minimalize
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
@@ -74,7 +74,7 @@ def parse_ideal(text, dim=None):
 
 def render_ideal(I):
     """Inverse of parse_ideal on canonical ideals: parse(render(I)) == I."""
-    names = (["x", "y", "z", "w"][:I.dim] if I.dim <= 4
+    names = (_ALIASES if I.dim <= len(_ALIASES)
              else [f"x{i + 1}" for i in range(I.dim)])
 
     def monomial(g):
@@ -125,18 +125,14 @@ def _document_ints(values):
 
 def ideal_from_document(doc):
     """IdealDocument JSON: {"vars": d, "gens": [[...], ...]} with integer
-    entries, possibly as decimal strings.  A generator whose length is not
-    d is an error that names it."""
+    entries, possibly as decimal strings.  Every malformed document is an
+    IdealParseError at position 0: a missing key, an entry that is not an
+    integer, and whatever minimalize rejects (no generators, d below 1, a
+    negative exponent, or a generator whose length is not d, named)."""
     try:
         dim = _document_ints([doc["vars"]])[0]
-        gens = [_document_ints(g) for g in doc["gens"]]
+        return minimalize([_document_ints(g) for g in doc["gens"]], dim)
     except (KeyError, TypeError, ValueError) as ex:
-        raise IdealParseError(f"bad ideal document: {ex}", 0) from None
-    if any(v < 0 for g in gens for v in g):
-        raise IdealParseError("negative exponent in ideal document", 0)
-    try:
-        return minimalize(gens, dim)
-    except DimensionMismatchError as ex:
         raise IdealParseError(f"bad ideal document: {ex}", 0) from None
 
 

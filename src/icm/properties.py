@@ -3,7 +3,9 @@
 Each suite function takes a seeded Random and a case count and returns a
 list of failure descriptions (empty means the property held everywhere).
 All but suite_primes_are_atoms are a per-case check run cases times
-(_per_case).  All checks are exact; the randomness only picks inputs.
+(_per_case).  A case of a monoid law draws its closed ideals through
+_closed_ideals: one dimension, then every ideal in it.  All checks are
+exact; the randomness only picks inputs.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ def random_polygon(rng):
     return hull(pts, 2)
 
 
+def _closed_ideals(rng, n, dims=(2, 3)):
+    """n random closed ideals in one dimension, which is drawn from dims
+    first."""
+    dim = rng.choice(dims)
+    return [random_closed_ideal(rng, dim) for _ in range(n)]
+
+
 def _per_case(check):
     """The suite that runs check(rng), a generator of one random case's
     failures, cases times and lists every failure."""
@@ -61,33 +70,26 @@ def _per_case(check):
 
 @_per_case
 def suite_star_monoid_laws(rng):
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
-    J = random_closed_ideal(rng, dim)
-    K = random_closed_ideal(rng, dim)
+    I, J, K = _closed_ideals(rng, 3)
     if star(star(I, J), K) != star(I, star(J, K)):
         yield f"associativity: {I} {J} {K}"
     if star(I, J) != star(J, I):
         yield f"commutativity: {I} {J}"
-    if star(I, unit_ideal(dim)) != I:
+    if star(I, unit_ideal(I.dim)) != I:
         yield f"identity: {I}"
 
 
 @_per_case
 def suite_np_homomorphism(rng):
     """NP(I*J) equals NP(I) + NP(J) as polyhedra."""
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
-    J = random_closed_ideal(rng, dim)
+    I, J = _closed_ideals(rng, 2)
     if not np_equal(np_of(star(I, J)), mink_sum(np_of(I), np_of(J))):
         yield f"NP homomorphism: {I} {J}"
 
 
 @_per_case
 def suite_ord_additivity(rng):
-    dim = rng.choice([1, 2, 3])
-    I = random_closed_ideal(rng, dim)
-    J = random_closed_ideal(rng, dim)
+    I, J = _closed_ideals(rng, 2, dims=(1, 2, 3))
     if ord_valuation(star(I, J)) != ord_valuation(I) + ord_valuation(J):
         yield f"ord additivity: {I} {J}"
 
@@ -95,9 +97,7 @@ def suite_ord_additivity(rng):
 @_per_case
 def suite_conical(rng):
     """star(I, J) is the unit ideal only when both inputs are."""
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
-    J = random_closed_ideal(rng, dim)
+    I, J = _closed_ideals(rng, 2)
     if star(I, J).is_unit and not (I.is_unit and J.is_unit):
         yield f"conical: {I} {J}"
 
@@ -105,9 +105,7 @@ def suite_conical(rng):
 @_per_case
 def suite_cancellation(rng):
     """quotient_cancel(star(I, K), K) recovers I exactly."""
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
-    K = random_closed_ideal(rng, dim)
+    I, K = _closed_ideals(rng, 2)
     if quotient_cancel(star(I, K), K) != I:
         yield f"cancellation: {I} {K}"
 
@@ -115,9 +113,7 @@ def suite_cancellation(rng):
 @_per_case
 def suite_torsion_free(rng):
     """I != J implies star-powers stay distinct, n <= 3."""
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
-    J = random_closed_ideal(rng, dim)
+    I, J = _closed_ideals(rng, 2)
     if I == J:
         return
     for n in (2, 3):
@@ -201,8 +197,7 @@ def suite_phi_homomorphism(rng):
 @_per_case
 def suite_phi_surjectivity(rng):
     """phi(ideal_to_polytope(I)) lands on the class of I."""
-    dim = rng.choice([2, 3])
-    I = random_closed_ideal(rng, dim)
+    [I] = _closed_ideals(rng, 1)
     if not class_equal_ideal(phi(ideal_to_polytope(I)), ideal_class(I)):
         yield f"phi surjectivity: {I}"
 

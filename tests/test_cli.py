@@ -10,6 +10,7 @@ import pytest
 
 from icm import cli
 from icm.cli import main
+from icm.parsing import ideal_from_document, ideal_to_document
 from icm.properties import run_suites
 
 
@@ -164,6 +165,32 @@ class TestInputModes:
         code, _ = run(capsys, "factorizations", "x^9,x*y,y^9")
         assert code == 3
 
+    LIPMAN = "z^4,y*z^2,y^2*z,y^4,x*z^2,x*y*z,x*y^2,x^2*z,x^2*y,x^4"
+    PRINTED = [
+        (["closure", "x^2*y,z^3"], lambda r: [r]),
+        (["star", "x,y", "x^2,y"], lambda r: [r]),
+        (["colon", "x^2,x*y,y^2", "x,y"], lambda r: [r]),
+        (["factor", "x^3*y,x*y^3,x^2*y^2"],
+         lambda r: [r["base"], *r["atoms"]]),
+        (["factorizations", LIPMAN],
+         lambda r: [a for fz in r["factorizations"] for a in fz]),
+        (["divides", "x,y", "x^2,x*y,y^2"], lambda r: [r["cofactor"]]),
+        (["verify", "lipman"], lambda r: [r["product"]]),
+        (["phi", "2,0; 0,3"], lambda r: [r["num"], r["den"]]),
+    ]
+
+    @pytest.mark.parametrize("argv, printed", PRINTED,
+                             ids=[argv[0] for argv, _ in PRINTED])
+    def test_printed_ideals_read_back(self, capsys, argv, printed):
+        """Every ideal in a result is an IdealDocument that --json reads
+        back as the ideal it renders."""
+        code, out = run(capsys, *argv)
+        docs = printed(out["result"])
+        assert code == 0 and docs
+        for doc in docs:
+            assert "vars" in doc, doc
+            assert ideal_to_document(ideal_from_document(doc)) == doc
+
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -201,13 +228,20 @@ class TestExitCodes:
         {"vars": 2, "gens": [[1.5, 0], [0, 2]]},
         {"vars": 2.9, "gens": [[1, 0], [0, 1]]},
         {"vars": True, "gens": [[1]]},
-    ], ids=["float-exponent", "float-vars", "bool-vars"])
+        {"vars": 2, "gens": []},
+        {"vars": 0, "gens": [[]]},
+        {"vars": 2, "gens": [[1, -1]]},
+    ], ids=["float-exponent", "float-vars", "bool-vars", "no-generators",
+            "vars-zero", "negative-exponent"])
     def test_non_integer_json_document(self, capsys, tmp_path, doc):
+        """A non-integer entry, like every other malformed document (no
+        generators, vars below 1, a negative exponent), exits 1 at
+        position 0."""
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "--json", "closure", str(path))
         assert code == 1
-        assert "position" in out
+        assert out["position"] == 0
 
     @pytest.mark.parametrize("gens", [
         [["1", "0"], ["0", "1"], ["1", "1", "1"]], [[0, 0], [1]],

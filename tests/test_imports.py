@@ -6,8 +6,8 @@ are re-exports), and so are `from __future__` imports.  No module but
 `feasibility.py` itself imports the LP solver, so no production path solves
 an LP.  No module refers to `closed_supersets`, the antichain walk, but in
 its own definition, so no library query walks antichains.  Only `ideals`
-and `newton` build ideals without MonomialIdeal's checks, and only
-`newton` holds a cache.  Every console script named in pyproject.toml
+and `newton` build ideals without MonomialIdeal's checks, only `newton`
+holds a cache, and only `parsing` writes an IdealDocument.  Every console script named in pyproject.toml
 resolves to a callable entry point.
 
 Start-up: a fresh `import icm` loads no submodule, and a fresh `import
@@ -152,6 +152,33 @@ def test_one_cache_in_production(path):
     cache, so a long-lived process holds no other memory that grows with
     the queries it has answered."""
     assert references(path.read_text(encoding="utf-8"), "lru_cache") == []
+
+
+def document_displays(source):
+    """Lines of a source that build a dict display keyed "gens" or
+    "vars", that is, write an IdealDocument by hand."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Dict) and any(
+                      isinstance(key, ast.Constant)
+                      and key.value in ("gens", "vars") for key in node.keys))
+
+
+def test_detects_a_document_display():
+    source = ('doc = {"gens": [list(g) for g in gens]}\n'
+              'out = {"count": 1, "f": [{"vars": "2", "gens": []}]}\n'
+              'gens = doc["gens"]\n'
+              '__slots__ = ("dim", "gens")\n'
+              'other = {"dim": 2, **rest}\n')
+    assert document_displays(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "parsing.py"],
+                         ids=lambda p: p.name)
+def test_one_document_writer(path):
+    """parsing.ideal_to_document is the only writer of an IdealDocument,
+    so every ideal a command prints has both keys and reads back."""
+    assert document_displays(path.read_text(encoding="utf-8")) == []
 
 
 def _defined_names(stmt):

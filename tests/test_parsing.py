@@ -196,8 +196,16 @@ class TestDocuments:
         {"vars": 2, "gens": [[False, 1]]},
         {"vars": 2, "gens": ["20"]},
         {"vars": 2, "gens": "20"},
+        {"vars": 2, "gens": []},
+        {"vars": 0, "gens": [[]]},
+        {"vars": 2, "gens": [[1, -1]]},
     ], ids=["float-exponent", "integral-float", "float-vars", "bool-vars",
-            "bool-exponent", "string-generator", "string-gens"])
+            "bool-exponent", "string-generator", "string-gens",
+            "no-generators", "vars-zero", "negative-exponent"])
     def test_non_integer_rejected(self, doc):
-        with pytest.raises(IdealParseError):
+        """A non-integer entry, like every other malformed document (no
+        generators, vars below 1, a negative exponent), is a parse error
+        at position 0."""
+        with pytest.raises(IdealParseError) as exc:
             ideal_from_document(doc)
+        assert exc.value.position == 0
