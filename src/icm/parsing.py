@@ -7,7 +7,8 @@ dimension is the largest variable index seen unless given explicitly.
 
 Each generator is split on '*' and each piece matched once, so a syntax
 error is reported at the offset of the piece, or of the text after its
-factor, where it is found.
+factor, where it is found; a piece that ends in a bare '^' after its factor
+is a missing exponent, reported at the '^'.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .ideals import minimalize
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"
-                    r"|(?P<one>1)|(?P<zero>0))")
+                    r"|(?P<one>1)|(?P<zero>0))(?:\s*(?P<caret>\^)\s*$)?")
 
 
 def _parse_generator(text, offset, dim):
@@ -50,6 +51,9 @@ def _parse_generator(text, offset, dim):
                 raise IdealParseError(
                     f"variable index {index} exceeds dimension {dim}", at)
             powers[index] = powers.get(index, 0) + int(m.group("exp") or 1)
+        if m.group("caret"):
+            raise IdealParseError("expected an exponent after '^'",
+                                  start + m.start("caret"))
         if piece[m.end():].strip():
             raise IdealParseError("expected '*' between factors",
                                   start + m.end())

@@ -195,8 +195,9 @@ class TestInputModes:
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, out = run(capsys, "closure", "x^")
-        assert code == 1
-        assert "position" in out
+        assert (code, out) == (1, {
+            "error": "expected an exponent after '^' (at position 1)",
+            "position": 1})
 
     def test_index_beyond_dim_points_at_the_variable(self, capsys):
         code, out = run(capsys, "--dim", "1", "star", "x", "x,y")

@@ -66,11 +66,14 @@ class TestParseErrors:
         ("x y", None, "expected '*' between factors", 1),
         ("xy", None, "expected '*' between factors", 1),
         ("x+y", None, "expected '*' between factors", 1),
-        ("x^", None, "expected '*' between factors", 1),
+        ("x^", None, "expected an exponent after '^'", 1),
+        ("x ^ ", None, "expected an exponent after '^'", 2),
+        ("x^2^", None, "expected an exponent after '^'", 3),
+        ("x^ y", None, "expected '*' between factors", 1),
         ("x^2^3", None, "expected '*' between factors", 3),
         ("x^2 y", None, "expected '*' between factors", 3),
         ("x * 1 z", None, "expected '*' between factors", 5),
-        ("x*y, z^2*x1^", None, "expected '*' between factors", 11),
+        ("x*y, z^2*x1^", None, "expected an exponent after '^'", 11),
         ("y*x0", None, "variable index must be >= 1, got x0", 2),
         ("x0*", None, "variable index must be >= 1, got x0", 0),
         ("x3", 2, "variable index 3 exceeds dimension 2", 0),
@@ -81,7 +84,8 @@ class TestParseErrors:
         """Every error the grammar raises, with its exact message and
         offset: an empty last factor is an empty generator at the
         generator's offset, a piece with no factor is reported at the
-        piece, and text after a factor where that factor ends."""
+        piece, a bare '^' after a factor at the '^', and other text after
+        a factor where that factor ends."""
         with pytest.raises(IdealParseError) as exc:
             parse_ideal(text, dim=dim)
         assert exc.value.args == (message, position)

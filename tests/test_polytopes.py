@@ -1,3 +1,4 @@
+import pickle
 import random
 from math import gcd
 
@@ -82,11 +83,11 @@ class TestHull:
             assert set(hull(pts, dim).verts) == hull_vertices_lp(pts), pts
 
 
-def raw_polygon(rng, kind):
-    """A 2D polytope built straight from point tuples, as the constructor
-    allows: unsorted, with repeats and non-vertices.  kind 0 is a point,
-    1 a segment, 2 a collinear run and 3 a scatter with a collinear run;
-    coordinates go negative."""
+def raw_points(rng, kind):
+    """2D points as a caller may pass them to the constructor: unsorted,
+    with repeats and non-vertices.  kind 0 is a point, 1 a segment, 2 a
+    collinear run and 3 a scatter with a collinear run; coordinates go
+    negative."""
     pts = [(rng.randint(-6, 6), rng.randint(-6, 6))]
     if kind == 3:
         pts += [(rng.randint(-6, 6), rng.randint(-6, 6))
@@ -97,7 +98,46 @@ def raw_polygon(rng, kind):
                 for k in range(1, 2 if kind == 1 else rng.randint(3, 5))]
     pts += rng.choices(pts, k=rng.randint(0, 2))
     rng.shuffle(pts)
-    return IntegralPolytope(2, tuple(pts))
+    return tuple(pts)
+
+
+def raw_polygon(rng, kind):
+    """The polytope of raw_points(rng, kind), reduced by the constructor."""
+    return IntegralPolytope(2, raw_points(rng, kind))
+
+
+class TestBoundary:
+    """IntegralPolytope reduces its points to their exact vertex set once;
+    _polytope, which skips that, gets only vertex sets exact by proof."""
+
+    @staticmethod
+    def raw_point_lists():
+        rng = random.Random(71)
+        lists = [(2, raw_points(rng, k % 4)) for k in range(80)]
+        for dim in 1, 3, 4:
+            for _ in range(25):
+                pts = [tuple(rng.randint(-3, 4) for _ in range(dim))
+                       for _ in range(rng.randint(1, 7))]
+                lists.append((dim, tuple(pts + rng.choices(pts, k=2))))
+        return lists
+
+    def test_constructor_reduces_to_exact_vertices(self):
+        for dim, raw in self.raw_point_lists():
+            P = IntegralPolytope(dim, raw)
+            assert P.verts == hull(raw, dim).verts, raw
+            assert P.verts == tuple(sorted(hull_vertices_lp(raw))), raw
+            assert P == IntegralPolytope(dim=dim, verts=P.verts)
+            assert pickle.loads(pickle.dumps(P)) == P
+
+    def test_trusted_outputs_are_exact(self):
+        rng = random.Random(73)
+        outputs = [B.polytope() for B in SMALL_BASIS] + [point_polytope(2)]
+        for k in range(64):
+            P, Q = raw_polygon(rng, k % 4), raw_polygon(rng, k // 4 % 4)
+            outputs += [p_mink_sum(P, Q), translate_polytope(P, (k - 30, 7)),
+                        normalize_polytope(Q)]
+        for P in outputs:
+            assert P.verts == hull(P.verts, 2).verts, P
 
 
 def lp_normalized(points):
@@ -126,15 +166,17 @@ class TestMinkowskiSum:
                                                               Q.verts)
 
     def test_2d_paths_never_hull(self, monkeypatch):
-        # a silent fallback to pairwise sums and a second hull would show
-        # here as a call, with no timing involved
+        # the operands are exact vertex sets already, so a silent fallback
+        # to pairwise sums, a second hull or the constructor's reduction
+        # would show here as a call, with no timing involved
         rng = random.Random(47)
         pairs = [(raw_polygon(rng, k % 4), raw_polygon(rng, k // 4))
                  for k in range(16)]
         calls = []
-        real = polytopes.hull
-        monkeypatch.setattr(polytopes, "hull",
-                            lambda *args: calls.append(args) or real(*args))
+        for name in "hull", "convex_chain":
+            real = getattr(polytopes, name)
+            monkeypatch.setattr(polytopes, name, lambda *args, real=real:
+                                calls.append(args) or real(*args))
         for P, Q in pairs:
             p_mink_sum(P, Q)
             decompose_2d(group_element(P, Q))
@@ -319,6 +361,27 @@ class TestDecompose2d:
             B, C = rng.sample(SMALL_BASIS, 2)
             e = group_element(B.polytope(), C.polytope())
             assert decompose_2d(e) == {B: 1, C: -1}, (B, C)
+
+    def test_reconstruction_adds_copy_by_copy(self, monkeypatch):
+        # the check adds one basis copy per unit of coefficient through the
+        # group's own addition, never c * B at once; the benchmark's
+        # oversized-decompose probe relies on this to stay slow enough for
+        # its overrun guard to kill it.  Both sides start from e's own
+        # exact polytopes, so no other sum is taken.
+        rng = random.Random(59)
+        elements = [group_element(raw_polygon(rng, 3), raw_polygon(rng, k % 4))
+                    for k in range(40)]
+        calls = []
+        real = polytopes.p_mink_sum
+        monkeypatch.setattr(polytopes, "p_mink_sum",
+                            lambda *args: calls.append(args) or real(*args))
+        largest = 0
+        for e in elements:
+            calls.clear()
+            coeffs = decompose_2d(e)
+            assert len(calls) == sum(map(abs, coeffs.values())), e
+            largest = max([largest, *map(abs, coeffs.values())])
+        assert largest > 1
 
     def test_budget_bounds_the_copies(self):
         e = group_element(hull({(0, 0), (3, 0), (0, 2)}, 2))
