@@ -13,7 +13,9 @@ share.  Outputs that are sorted antichains by proof skip the checks
 through _sorted_antichain: minimalize's sweep (its input points are
 checked once, before it), the staircase walk's (colon here, integral
 closure and the divisor ideals downstream) and normalize_translation's
-shift of an ideal already checked.
+shift of an ideal already checked.  The walk goes one line of columns at
+a time, so its callers answer for a whole line at once: colon's shifted
+copies of I cost |I|*|J| per line, not per column.
 """
 
 from __future__ import annotations
@@ -176,49 +178,76 @@ def intersection(I, J):
     return minimalize(lcms, I.dim)
 
 
-def staircase(axes, k, own):
+def staircase(axes, k, line):
     """Minimal points of an up-set, walked along axis k; the coordinates
-    of its minimal points lie on the given sorted axes.  Columns u (all
-    axes but k) go in lex order, and own(u) is the least x_k of a point
-    in column u, or inf.  With top(u) = min(own(u), top(u - e_j)), u - e_j
-    one axis value back, (u, own(u)) is minimal iff own(u) < top(u - e_j)
-    for every j.  Those lie at most one slab (one first coordinate) back,
-    so only a ring of one slab of tops is held."""
+    of its minimal points lie on the given sorted axes.  The columns u
+    (all axes but k) go in lines along the last of them, the lines in lex
+    order of their prefix (the columns' other coordinates), and
+    line(prefix) lists own(u), the least x_k of a point in column u or
+    inf, for each u on the line.  With top(u) = min(own(u), top(u - e_j)),
+    u - e_j one axis value back, (u, own(u)) is minimal iff own(u) <
+    top(u - e_j) for every j.  A line's tops are the min of its own and
+    the tops of the lines one step back on each prefix axis, run through
+    a running min; those lines lie at most one slab (one first
+    coordinate) back, so only a ring of one slab of lines is held.  A
+    line's minimal points are yielded together, so a caller that stops at
+    one stops asking for lines.  With d = 1 there is one line, of the one
+    column ()."""
     cols = axes[:k] + axes[k + 1:]
-    strides = [prod(map(len, cols[j + 1:])) for j in range(len(cols))]
-    size = prod(map(len, cols[1:]))
-    ring = [inf] * size
-    for n, cell in enumerate(iter_product(*map(enumerate, cols))):
-        below = min((ring[(n - s) % size]
-                     for (i, _), s in zip(cell, strides) if i), default=inf)
-        u = tuple(x for _, x in cell)
-        t = own(u)
-        if t < below:
-            yield u[:k] + (t,) + u[k:]
-            below = t
-        ring[n % size] = below
+    outer, ends = cols[:-1], list(iter_product(*cols[-1:]))
+    strides = [prod(map(len, outer[j + 1:])) for j in range(len(outer))]
+    size = prod(map(len, outer[1:]))
+    ring = [[inf] * len(ends)] * size
+    for n, cell in enumerate(iter_product(*map(enumerate, outer))):
+        below = [inf] * len(ends)
+        for (i, _), s in zip(cell, strides):
+            if i:
+                below = [a if a < b else b
+                         for a, b in zip(below, ring[(n - s) % size])]
+        prefix = tuple(x for _, x in cell)
+        top = inf
+        tops = [top := (t if t < top else top) if t < b else
+                (b if b < top else top) for t, b in zip(line(prefix), below)]
+        yield from [u[:k] + (t,) + u[k:] for end, t, b, p
+                    in zip(ends, tops, below, [inf] + tops)
+                    if t < b and t < p for u in [prefix + end]]
+        ring[n % size] = tops
 
 
 def colon(I, J):
     """Colon ideal I : J, the intersection over g in J of the ideals
     generated by the max(h - g, 0), h in I.  A coordinate of a minimal
     generator is one of those values, so the staircase walks only their
-    grid: the cost tracks |I|*|J| per column, not the generator box."""
+    grid.  On a line, a shifted ideal's least x_k is the running min of
+    its points whose prefix lies below the line's, each placed at its
+    last coordinate; the intersection takes the max over the shifted
+    ideals.  A line costs |I|*|J| plus |J| passes over it, not the
+    generator box."""
     _check_dims(I, J)
     shifted = [{tuple(max(a - b, 0) for a, b in zip(h, g)) for h in I.gens}
                for g in J.gens]
     axes = [sorted({s[j] for part in shifted for s in part})
             for j in range(I.dim)]
     k = max(range(I.dim), key=lambda j: len(axes[j]))
-    parts = [sorted((s[k], s[:k] + s[k + 1:]) for s in part)
-             for part in shifted]
+    cols = axes[:k] + axes[k + 1:]
+    at = {end: i for i, end in enumerate(iter_product(*cols[-1:]))}
+    parts = [[(u[:-1], at[u[-1:]], s[k]) for s in part
+              for u in [s[:k] + s[k + 1:]]] for part in shifted]
 
-    def lowest(u):
-        """Least x_k with (u, x_k) in every shifted ideal."""
-        return max(next((t for t, s in part if dominates(u, s)), inf)
-                   for part in parts)
+    def line(prefix):
+        """Least x_k on each column of the line, in every shifted ideal."""
+        low = [0] * len(at)
+        for part in parts:
+            own = [inf] * len(at)
+            for q, i, t in part:
+                if t < own[i] and dominates(prefix, q):
+                    own[i] = t
+            top = inf
+            low = [v if v >= (top := t if t < top else top) else top
+                   for v, t in zip(low, own)]
+        return low
 
-    return _sorted_antichain(I.dim, tuple(sorted(staircase(axes, k, lowest))))
+    return _sorted_antichain(I.dim, tuple(sorted(staircase(axes, k, line))))
 
 
 def contains(I, a):

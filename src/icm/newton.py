@@ -1,18 +1,18 @@
 """Newton polyhedra NP(I) = conv(points) + R^d_+ and integral closure.
 
-Every question about a polyhedron (membership of rational points, vertices,
-equality, lattice points for integral closure) is answered from one exact
-half-space description that holds only the facets, with primitive
-integer normals, built once per point set by _facet_inequalities, whose
-cache holds a bounded number of descriptions.  2D facets are read off the
-lower convex chain; in every other dimension they come from the double
-description method.  Vertices and equality are read off the facets, so
-no LP runs.  Integral closure is a staircase walk of a box that reads
-each column's lowest point of NP off the facets and yields the minimal
-generators alone; they are a sorted antichain by the walk's proof, so
-every closure (of an ideal, of a raw point set such as star's pairwise
-sums, of a divisor's facets) is built by _lattice_ideal and skips
-MonomialIdeal's checks.
+Every question about a polyhedron (membership of rational points, tested
+in integers, vertices, equality, lattice points for integral closure) is
+answered from one exact half-space description that holds only the
+facets, with primitive integer normals, built once per point set by
+_facet_inequalities, whose cache holds a bounded number of descriptions.
+2D facets are read off the lower convex chain; in every other dimension
+they come from the double description method.  Vertices and equality are
+read off the facets, so no LP runs.  Integral closure is a staircase walk
+of a box, one line of columns at a time, that reads the line's lowest
+points of NP off the facets and yields the minimal generators alone; they
+are a sorted antichain by the walk's proof, so every closure (of an
+ideal, of a raw point set such as star's pairwise sums, of a divisor's
+facets) is built by _lattice_ideal and skips MonomialIdeal's checks.
 The tests check the description against an independent rational LP and
 a rank test of each facet.
 """
@@ -20,7 +20,8 @@ a rank test of each facet.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, inf
+from itertools import product as iter_product
+from math import gcd, inf, lcm
 from operator import mul
 
 from .ideals import (_Record, _check_dims, _check_points, _sorted_antichain,
@@ -44,10 +45,16 @@ def np_of(I):
 
 
 def member(P, q):
-    """Exact test: q in conv(points) + R^d_+ (rational q allowed)."""
+    """Exact test: q in conv(points) + R^d_+.  Each coordinate (an int,
+    Fraction, float or Decimal) is read exactly by its as_integer_ratio,
+    and q is scaled by the lcm of the denominators, so the facets are
+    tested in integers."""
     q = tuple(q)
     _check_points((q,), P.dim, "point")
-    return all(sum(a * b for a, b in zip(c, q)) >= m
+    ratios = [x.as_integer_ratio() for x in q]
+    d = lcm(*(b for _, b in ratios))
+    q = [a * (d // b) for a, b in ratios]
+    return all(sum(map(mul, c, q)) >= m * d
                for c, m in _facet_inequalities(P.points, P.dim))
 
 
@@ -193,21 +200,27 @@ def lattice_generators(facets, box):
     facets} whose coordinates other than the walked one lie in box, by a
     staircase walk along the box's longest axis k.  A column u's lowest
     point is the largest ceil((m - c.u) / c_k) over the facets with
-    c_k > 0, unless one with c_k = 0 excludes the whole column."""
+    c_k > 0, unless one with c_k = 0 excludes the whole column.  Each
+    facet's steps c.u along a line are taken once; a line then costs one
+    dot product of its prefix per facet and one pass over the steps."""
     k = max(range(len(box)), key=box.__getitem__)
-    rows = [(c[:k] + c[k + 1:], c[k], m) for c, m in facets]
+    axes = [range(b + 1) for b in box]
+    cols = axes[:k] + axes[k + 1:]
+    along = list(map(sum, iter_product(*cols[-1:])))  # [0] if d = 1
+    rows = [(u[:-1], c[k], m, [c_last * x for x in along])
+            for c, m in facets for u in [c[:k] + c[k + 1:]]
+            for c_last in [sum(u[-1:])]]
 
-    def lowest(u):
-        lo = 0
-        for c, ck, m in rows:
-            rest = m - sum(map(mul, c, u))
-            if ck:
-                lo = max(lo, -(-rest // ck))
-            elif rest > 0:
-                return inf
-        return lo
+    def line(prefix):
+        low = [0] * len(along)
+        for c, ck, m, steps in rows:
+            rest = m - sum(map(mul, c, prefix))
+            low = ([v if v >= (w := -((s - rest) // ck)) else w
+                    for v, s in zip(low, steps)] if ck
+                   else [inf if rest > s else v for v, s in zip(low, steps)])
+        return low
 
-    return staircase([range(b + 1) for b in box], k, lowest)
+    return staircase(axes, k, line)
 
 
 def _lattice_ideal(facets, box):

@@ -1,16 +1,19 @@
 import random
 import re
 from ast import literal_eval
+from itertools import product as iproduct
+from math import inf
 
 import pytest
 
+from icm import newton
 from icm.errors import DimensionMismatchError
 from icm.ideals import (MonomialIdeal, colon, contains, generator_box,
                         intersection, minimalize, normalize_translation,
-                        ord_valuation, principal_ideal, product, translate,
-                        unit_ideal)
+                        ord_valuation, principal_ideal, product, staircase,
+                        translate, unit_ideal)
 from icm.monoid import SearchBudget, _Dividend, star, star_power
-from icm.newton import integral_closure
+from icm.newton import integral_closure, is_integrally_closed
 from icm.polytopes import colon_factorization_2d
 from oracles import colon_by_intersection, minimal_by_pairs
 
@@ -180,6 +183,67 @@ class TestColon:
         J = ideal((1, 0), (0, 2))
         Q = colon(product(I, J), J)
         assert all(contains(Q, g) for g in I.gens)
+
+
+class TestStaircase:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_against_pairwise_oracle(self, dim):
+        """Seeded up-sets of random points, walked along every axis k:
+        each line is computed brute force, column by column, and the walk
+        yields the oracle's minimal points.  Axes of equal length tie, and
+        k = dim - 1 walks the last axis, so the lines run along dim - 2."""
+        rng = random.Random(600 + dim)
+        for _ in range(60):
+            top = rng.choice([1, 3, 6])
+            pts = [tuple(rng.randint(0, top) for _ in range(dim))
+                   for _ in range(rng.randint(1, 12))]
+            axes = [sorted({p[j] for p in pts}) for j in range(dim)]
+            for k in range(dim):
+                cols = axes[:k] + axes[k + 1:]
+
+                def line(prefix, k=k, cols=cols):
+                    return [min((p[k] for p in pts
+                                 if all(a >= b for a, b in zip(
+                                     prefix + end, p[:k] + p[k + 1:]))),
+                                default=inf)
+                            for end in iproduct(*cols[-1:])]
+
+                walked = sorted(staircase(axes, k, line))
+                assert walked == list(minimal_by_pairs(pts, dim).gens), (
+                    pts, k)
+
+    def test_closed_check_stops_at_the_first_line_with_a_new_generator(
+            self, monkeypatch):
+        """is_integrally_closed asks for no line past the first one that
+        holds a generator of the closure missing from the ideal."""
+        calls = []
+
+        def counted(axes, k, line):
+            return staircase(axes, k, lambda prefix: calls.append(prefix)
+                             or line(prefix))
+
+        monkeypatch.setattr(newton, "staircase", counted)
+        rng = random.Random(31)
+        firsts = []
+        while len(firsts) < 20:
+            top = rng.randint(3, 6)
+            I = minimalize([(top, 0, 0), (0, rng.randint(1, top), 0),
+                            (0, 0, rng.randint(1, top))]
+                           + [tuple(rng.randint(0, top) for _ in range(3))
+                              for _ in range(rng.randint(0, 2))], 3)
+            box = generator_box(I)
+            k = box.index(max(box))
+            outer = [j for j in range(3) if j != k][0]
+            missing = set(integral_closure(I).gens) - set(I.gens)
+            if not missing:
+                continue
+            first = min(g[outer] for g in missing)
+            calls.clear()
+            assert not is_integrally_closed(I)
+            assert [p for p, in calls] == list(range(first + 1)), I
+            assert len(calls) < box[outer] + 1
+            firsts.append(first)
+        assert 0 in firsts and max(firsts) > 0
 
 
 class TestContains:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,26 @@ class TestMember:
                 P = NewtonPolyhedron(dim, tuple(pts))
                 for q in probe_points(rng, pts):
                     assert member(P, q) == member_lp(pts, q), (pts, q)
+
+    def test_exact_on_every_number_type(self):
+        """Each coordinate is read exactly, whatever its type: ints, floats
+        and Decimals answer as the Fractions of their exact values do, on
+        and just off the boundary.  The floats 1/3 and 2/3 sum to 1 - 2^-54,
+        so they fall short of the facet x + y >= 1."""
+        assert not member(np_of(ideal((1, 0), (0, 1))), (1 / 3, 2 / 3))
+        rng = random.Random(12)
+        for dim in (1, 2, 3, 4):
+            for _ in range(25):
+                pts = random_points(rng, dim)
+                P = NewtonPolyhedron(dim, tuple(pts))
+                for q in probe_points(rng, pts) + [(Fraction(1, 3),) * dim]:
+                    for x in (tuple(int(a) if a.denominator == 1 else a
+                                    for a in q),
+                              tuple(map(float, q)),
+                              tuple(Decimal(a.numerator) / a.denominator
+                                    for a in q)):
+                        exact = tuple(map(Fraction, x))
+                        assert member(P, x) == member_lp(pts, exact), (pts, x)
 
     def test_invariant_under_redundant_points(self):
         P = np_of(ideal((2, 0), (0, 2)))
@@ -286,6 +307,15 @@ class TestIntegralClosure:
                             for _ in range(k)], 3)
             assert integral_closure(I) == closure_lp(I)
 
+    @pytest.mark.parametrize("dim, top, cases", [(1, 9, 20), (2, 6, 40),
+                                                 (3, 4, 25), (4, 3, 15)])
+    def test_against_lp_oracle_seeded(self, dim, top, cases):
+        rng = random.Random(700 + dim)
+        for _ in range(cases):
+            I = minimalize([tuple(rng.randint(0, top) for _ in range(dim))
+                            for _ in range(rng.randint(1, 4))], dim)
+            assert integral_closure(I) == closure_lp(I), I
+
 
 class TestIsIntegrallyClosed:
     def test_open_square(self):
@@ -296,6 +326,22 @@ class TestIsIntegrallyClosed:
 
     def test_unit(self):
         assert is_integrally_closed(unit_ideal(2))
+
+    @pytest.mark.parametrize("dim, top, cases", [(1, 9, 20), (2, 6, 30),
+                                                 (3, 4, 15), (4, 3, 10)])
+    def test_against_lp_oracle(self, dim, top, cases):
+        """Seeded ideals and their closures: closed exactly when the LP
+        closure gives the ideal back, with both answers drawn."""
+        rng = random.Random(800 + dim)
+        answers = set()
+        for _ in range(cases):
+            I = minimalize([tuple(rng.randint(0, top) for _ in range(dim))
+                            for _ in range(rng.randint(1, 4))], dim)
+            for J in (I, closure_lp(I)):
+                closed = closure_lp(J) == J
+                assert is_integrally_closed(J) == closed, J
+                answers.add(closed)
+        assert answers == {True, False} or dim == 1
 
 
 def test_np_injectivity_on_closed_ideals():
