@@ -120,7 +120,7 @@ def _cmd_irreducible(I, args):
 def _cmd_divides(I, J, args):
     _require_closed(I, "divisor")
     K = divides(I, J, budget=args.budget)
-    if K is None:  # divides walks J once and answers None if it is not closed
+    if K is None:  # also None for a J that is not closed: its own error
         _require_closed(J, "dividend")
     return {"divides": K is not None,
             "cofactor": ideal_to_document(K) if K is not None else None}

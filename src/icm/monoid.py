@@ -9,11 +9,14 @@ whose only lattice summands are its own dilates, so R is an atom when
 its intercepts have gcd 1: Zariski's one-edge rule, in any dimension
 (_proper_split).  NP(I^n) = n·NP(I), so a star power is one closure
 (star_power).  In two variables factorization is unique (Zariski), so
-one split sequence finds it.  A divisor J of I has only I's facet
-normals, and each vertex of NP(I) is a vertex of NP(J) plus one of the
-cofactor's:
-divisibility and the cofactor are read off I's one facet description
-(_Dividend).  A closed divisor J is fixed by its support vector h_J, its
+one split sequence finds it.  In two variables, too, a Newton polygon
+is its corner and its descending edges counted by lattice length, and a
+Minkowski sum adds both, so divisibility and the cofactor are a
+comparison and a difference of the two readings (divides).  In other
+dimensions a divisor J of I has only I's facet normals, and each vertex
+of NP(I) is a vertex of NP(J) plus one of the cofactor's: divisibility
+and the cofactor are read off I's one facet description (_Dividend).  A
+closed divisor J is fixed by its support vector h_J, its
 least values on I's facet normals c, since NP(J) = {x >= 0 : c.x >=
 h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since least values add under
 Minkowski sums.  The vectors lie in NP(I)'s type cone (McMullen 1973),
@@ -29,9 +32,10 @@ here skip those checks where they are sorted antichains by proof: star
 and star_power close their raw points (pairwise sums, dilated
 generators; the closure reads only the points' hull, so none is
 minimalized), _Dividend's divisors and cofactors are walks of I's
-facets, all built by newton._lattice_ideal, and _split_monomial's R is
-normalize_translation's shift.  The primes (x_i) and closed_supersets'
-candidates keep the checks.
+facets, all built by newton._lattice_ideal, a 2D cofactor is read off
+its polygon's columns by newton._closed_from_edges, and
+_split_monomial's R is normalize_translation's shift.  The primes (x_i)
+and closed_supersets' candidates keep the checks.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from .errors import (BudgetExceededError, NotIntegrallyClosedError,
 from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
-from .newton import (_closure_of_points, _facet_inequalities, _lattice_ideal,
+from .newton import (_closed_from_edges, _closure_of_points,
+                     _descending_edges, _facet_inequalities, _lattice_ideal,
                      _vertex_slacks, is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
@@ -130,6 +135,8 @@ def closed_supersets(I, budget=None):
 class _Dividend:
     """What a divisibility test reads of a closed ideal I: its facets
     c.x >= m, each vertex v of NP(I) with its slacks c.v - m, and its box.
+    divides reads it for d != 2 (a 2D divides compares Newton polygon
+    edges instead); the divisor search reads it in every dimension.
 
     For any J, let h_J(c) be the least value of c on J and K the lattice
     points of {x >= 0 : c.x >= m - h_J(c)}.  Then J·K lies in NP(I), hence
@@ -252,15 +259,27 @@ def _proper_split(R, budget):
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    Every star product is closed, so a J that is not has no divisor.  For
-    a closed J, K is read off J's facets (see _Dividend): by cancellation
-    it is J : I, and no colon, product or closure runs.  I need not be
-    closed.  The budget keyword is kept because callers pass one to every
-    monoid query; it is never spent.
+    Every star product is closed, so a J that is not has no divisor.  In
+    two variables a Newton polygon is its corner plus its descending
+    edges, and a Minkowski sum merges edges by slope, so NP(I) + NP(K) =
+    NP(J) iff the corners add and edges(I) + edges(K) = edges(J) as
+    multisets: K's corner and edges are J's less I's, and K is built from
+    them (newton._descending_edges, newton._closed_from_edges).  Other
+    dimensions read K off J's facets and vertices (see _Dividend).  By
+    cancellation K is J : I either way, and no colon, product or search
+    runs.  I need not be closed.  The budget keyword is kept because
+    callers pass one to every monoid query; it is never spent.
     """
     _check_dims(I, J)
     if not is_integrally_closed(J):
         return None
+    if I.dim == 2:
+        (ix, iy), have = _descending_edges(I.gens)
+        (jx, jy), edges = _descending_edges(J.gens)
+        if ix > jx or iy > jy or not have <= edges:
+            return None
+        return _closed_from_edges((jx - ix, jy - iy), [
+            (e, c - have[e]) for e, c in edges.items() if c > have[e]])
     dividend = _Dividend(J)
     h = dividend.support(I)
     return None if h is None else dividend.cofactor(h)

@@ -12,13 +12,21 @@ of a box, one line of columns at a time, that reads the line's lowest
 points of NP off the facets and yields the minimal generators alone; they
 are a sorted antichain by the walk's proof, so every closure (of an
 ideal, of a raw point set such as star's pairwise sums, of a divisor's
-facets) is built by _lattice_ideal and skips MonomialIdeal's checks.
-The tests check the description against an independent rational LP and
-a rank test of each facet.
+facets) is built by _lattice_ideal and skips MonomialIdeal's checks;
+so is a 2D closed ideal built from its polygon's edges
+(_closed_from_edges), whose generators, read column by column, are a
+sorted antichain by proof.  Closedness walks the box only for d != 2:
+a 2D ideal is closed iff its box complement's inner corners lie outside
+NP, a test of each on the facets.  A 2D polygon is also its corner and
+its descending edges counted by lattice length (_descending_edges),
+which its facets, monoid.divides and the colon factorization read.  The
+tests check the description against an independent rational LP and a
+rank test of each facet.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product as iter_product
 from math import gcd, inf, lcm
@@ -118,22 +126,38 @@ def convex_chain(points):
     return chain
 
 
-def _chain_facets_2d(points):
-    """Facets of a 2D polyhedron from its sorted points: the two axis
-    facets and one per descending edge of the lower convex chain.
+def _descending_edges(points):
+    """NP's corner (least x, least y) and the descending edges of its lower
+    convex chain, from the sorted points: a Counter of each edge's
+    primitive step (a, b), a, b > 0, to its lattice length, steepest
+    first.  The chain starts at the first point.
 
     A point that is not lowest among those up to it dominates an earlier
-    point, so it never lies on a descending edge; collinear points are
-    dropped, so no two edges share a normal.  A constant coordinate needs
-    no care: the chain then has no descending edge.
+    point, so it never lies on a descending edge, and the points need not
+    be an antichain; collinear points are dropped, so no two edges share
+    a step.  A constant coordinate needs no care: the chain then has no
+    descending edge.  Two polygons' edges merge by slope in their
+    Minkowski sum, so the Counters add, and the corners too.
     """
     chain = convex_chain(points)
-    facets = [((1, 0), points[0][0]), ((0, 1), min(p[1] for p in points))]
-    for p, q in zip(chain, chain[1:]):
-        if q[1] < p[1]:
-            a, b = p[1] - q[1], q[0] - p[0]
-            g = gcd(a, b)
-            facets.append(((a // g, b // g), (a * p[0] + b * p[1]) // g))
+    edges = Counter()
+    for (x, y), (u, v) in zip(chain, chain[1:]):
+        if v < y:
+            g = gcd(u - x, y - v)
+            edges[(u - x) // g, (y - v) // g] = g
+    return (points[0][0], min(p[1] for p in points)), edges
+
+
+def _chain_facets_2d(points):
+    """Facets of a 2D polyhedron from its sorted points: the two axis
+    facets and one per descending edge (a, b) of the lower convex chain,
+    with the normal (b, a), read off where the edge starts."""
+    (x, low), edges = _descending_edges(points)
+    y = points[0][1]
+    facets = [((1, 0), x), ((0, 1), low)]
+    for (a, b), c in edges.items():
+        facets.append(((b, a), b * x + a * y))
+        x, y = x + a * c, y - b * c
     return tuple(facets)
 
 
@@ -246,8 +270,37 @@ def _closure_of_points(points, dim):
                           tuple(map(max, zip(*pts))))
 
 
+def _closed_from_edges(corner, edges):
+    """The closed 2D ideal whose Newton polygon has the corner (x, y) and
+    the descending edges edges, ((a, b), c) pairs steepest first: c steps
+    (a, -b) each, from (x, y + sum of the b*c).  On an edge from (x, y),
+    column x + s (0 < s <= a*c) has its lowest point at y - floor(b*s/a),
+    a generator iff that floor rose at s, so the points come out a sorted
+    antichain."""
+    x, y = corner[0], corner[1] + sum(b * c for (_, b), c in edges)
+    gens = [(x, y)]
+    for (a, b), c in edges:
+        gens += [(x + s, y - b * s // a) for s in range(1, a * c + 1)
+                 if b * s // a > b * (s - 1) // a]
+        x, y = x + a * c, y - b * c
+    return _sorted_antichain(2, tuple(gens))
+
+
 def is_integrally_closed(I):
-    """Each generator of the closure is one of I; stops at the first not."""
+    """Each generator of the closure is one of I.
+
+    The closure's generators lie in I's box, the box's points outside I
+    form a down-set and NP(I) is an up-set, so I is closed iff no maximal
+    point of the box outside I lies in NP(I).  In 2D, with the generators
+    sorted (x_0 < ... < x_n, y_0 > ... > y_n), those are the inner corners
+    (x_(i+1) - 1, y_i - 1), each tested on the facets in integers, and
+    (x_0 - 1, y_0) and (x_n, y_n - 1), which the axis facets x >= x_0 and
+    y >= y_n exclude: no walk runs.  Other dimensions walk the box and stop
+    at the first line with a generator of the closure that I lacks."""
+    facets = _facet_inequalities(I.gens, I.dim)
+    if I.dim == 2:
+        return not any(all(a * (x - 1) + b * (y - 1) >= m
+                           for (a, b), m in facets)
+                       for (_, y), (x, _) in zip(I.gens, I.gens[1:]))
     gens = set(I.gens)
-    return all(p in gens for p in lattice_generators(
-        _facet_inequalities(I.gens, I.dim), generator_box(I)))
+    return all(p in gens for p in lattice_generators(facets, generator_box(I)))

@@ -22,8 +22,9 @@ from .errors import DimensionMismatchError
 from .ideals import (_Record, _check_dims, _check_points, minimalize,
                      normalize_translation, unit_ideal)
 from .monoid import _as_budget, _require_closed, star
-from .newton import (NewtonPolyhedron, _closure_of_points, convex_chain,
-                     integral_closure, vertices)
+from .newton import (NewtonPolyhedron, _closure_of_points,
+                     _descending_edges, convex_chain, integral_closure,
+                     vertices)
 
 
 class IntegralPolytope(_Record):
@@ -428,22 +429,23 @@ class ColonFactorization(_Record):
 
 def colon_factorization_2d(I):
     """Express a closed 2D ideal as a monomial times a star product of
-    closures of (x^a, y^b), read off the edges of its generator polygon.
+    closures of (x^a, y^b), read off its Newton polygon: the corner is the
+    monomial, and each descending edge (a, -b) of lattice length c gives c
+    copies of (a, b) (newton._descending_edges).
 
     phi sends Segment(-a, b) with a, b > 0 to the class of
     closure(x^a, y^b) and every other basis element to the identity
     (tests/test_polytopes.py::TestPhi checks it for |v_1|, v_2 <= 6).
     Segment(-a, b)'s coefficient in decompose_2d is the lattice length c
-    of the polygon's edges in direction (a, -b), its lower chain's, so
-    each such direction gives c copies of (a, b).  The returned expression
-    is checked, once, to evaluate back to I exactly.
+    of the polygon's edges in direction (a, -b), its lower chain's, which
+    is that of NP(I).  The returned expression is checked, once, to
+    evaluate back to I exactly.
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
     _require_closed(I, "input")
-    counts = edge_vector_counts(hull(I.gens, 2)).items()
-    f = ColonFactorization(I, normalize_translation(I)[1], tuple(sorted(
-        (a, -b) for (a, b), c in counts if a > 0 > b for _ in range(c))))
+    corner, edges = _descending_edges(I.gens)
+    f = ColonFactorization(I, corner, tuple(sorted(edges.elements())))
     if f.evaluate() != I:
         raise AssertionError("edge counts do not recombine to the input")
     return f

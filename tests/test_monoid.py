@@ -8,16 +8,17 @@ from math import gcd
 
 import pytest
 
-from icm import monoid
+from icm import monoid, newton
 from icm.errors import (BudgetExceededError, DimensionMismatchError,
                         NotIntegrallyClosedError, NotStarMultipleError)
-from icm.ideals import (MonomialIdeal, ord_valuation, principal_ideal,
-                        product, unit_ideal)
+from icm.ideals import (MonomialIdeal, minimalize, ord_valuation,
+                        principal_ideal, product, staircase, unit_ideal)
 from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
-from icm.newton import (_facet_inequalities, integral_closure,
+from icm.newton import (_closure_of_points, _descending_edges,
+                        _facet_inequalities, integral_closure,
                         is_integrally_closed)
 from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
@@ -197,6 +198,95 @@ class TestDivides:
             divides(M2, ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(DimensionMismatchError):
             divides_by_colon(M2, ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def draw_2d(rng):
+    """A seeded 2D ideal: the unit, a principal ideal, a thin (x^N, y^k)
+    with N up to 3,000, or up to five generators in a box up to 12, closed
+    or not."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return unit_ideal(2)
+    if kind == 1:
+        return principal_ideal((rng.randint(0, 4), rng.randint(0, 4)))
+    if kind == 2:
+        return minimalize([(rng.randint(1, 3000), 0),
+                           (0, rng.randint(1, 4))], 2)
+    top = rng.choice([2, 4, 6, 12])
+    I = minimalize([(rng.randint(0, top), rng.randint(0, top))
+                    for _ in range(rng.randint(1, 5))], 2)
+    return integral_closure(I) if kind == 3 else I
+
+
+class TestDivides2d:
+    """A 2D divides compares Newton polygon corners and edge counts and
+    builds the cofactor from the difference."""
+
+    def test_against_colon_oracle_seeded(self):
+        rng = random.Random(4242)
+        steps = set()
+        answers = set()
+        for _ in range(500):
+            I, J = draw_2d(rng), draw_2d(rng)
+            if rng.random() < 0.5:
+                J = star(I, J)  # a multiple of I, so a K exists
+            K = divides(I, J)
+            assert K == divides_by_colon(I, J), (I, J)
+            answers.add(K is not None)
+            if K is not None:
+                steps |= {(a > b) - (a < b)
+                          for (a, b) in _descending_edges(K.gens)[1]}
+        assert answers == {True, False}
+        assert steps == {-1, 0, 1}  # edges with b > a, b = a and b < a
+
+    def test_corner_must_fit(self):
+        # (xy) has no edge, so its edge counts are at most any J's: only
+        # the corner test rejects these J
+        for J in (principal_ideal((0, 3)), principal_ideal((3, 0)),
+                  ideal((2, 0), (0, 1)), M2SQ):
+            assert divides(principal_ideal((1, 1)), J) is None, J
+            assert divides_by_colon(principal_ideal((1, 1)), J) is None
+        assert divides(principal_ideal((1, 1)), ideal((2, 1), (1, 2))) == M2
+
+    def test_cofactor_builder_matches_walk(self):
+        """newton._closed_from_edges against the walked closure of the
+        polygon's corners, on seeded corners and edges."""
+        rng = random.Random(77)
+        for _ in range(400):
+            steps = {(a // gcd(a, b), b // gcd(a, b))
+                     for _ in range(rng.randint(0, 4))
+                     for a, b in [(rng.randint(1, 9), rng.randint(1, 9))]}
+            edges = sorted(((e, rng.randint(1, 3)) for e in steps),
+                           key=lambda e: -e[0][1] / e[0][0])
+            x, y = rng.randint(0, 3), rng.randint(0, 3)
+            corner = (x, y)
+            y += sum(b * c for (_, b), c in edges)
+            points = [(x, y)]
+            for (a, b), c in edges:
+                x, y = x + a * c, y - b * c
+                points.append((x, y))
+            assert (newton._closed_from_edges(corner, edges)
+                    == _closure_of_points(points, 2)), (corner, edges)
+
+    def test_walks_no_column(self, monkeypatch):
+        """A 2D divides walks no box, whether J is closed or not and
+        whether I divides it or not; a 3D one still walks J's facets."""
+        rng = random.Random(9)
+        pairs = [(I, J) for _ in range(100)
+                 for I, J in [(draw_2d(rng), draw_2d(rng))]
+                 for J in (J, star(I, J))]
+        M3SQ = star(M3, M3)
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return staircase(*args)
+
+        monkeypatch.setattr(newton, "staircase", counted)
+        answers = {divides(I, J) is not None for I, J in pairs}
+        assert answers == {True, False} and walks == []
+        assert divides(M3, M3SQ) == M3
+        assert walks
 
 
 class TestIrreducible:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from icm import newton
 from icm.errors import DimensionMismatchError
 from icm.ideals import (MonomialIdeal, contains, minimalize, principal_ideal,
-                        product, unit_ideal)
+                        product, staircase, unit_ideal)
 from icm.newton import (NewtonPolyhedron, _facet_inequalities,
                         integral_closure, is_integrally_closed, member,
                         mink_sum, np_equal, np_of, reduce_points, vertices)
@@ -342,6 +343,65 @@ class TestIsIntegrallyClosed:
                 assert is_integrally_closed(J) == closed, J
                 answers.add(closed)
         assert answers == {True, False} or dim == 1
+
+    def test_2d_small_cases(self):
+        # single generators, (xy) and (x^2, xy) among them, are closed
+        for I in (principal_ideal((1, 1)), principal_ideal((3, 0)),
+                  principal_ideal((0, 2)), ideal((2, 0), (1, 1)),
+                  ideal((1, 2), (2, 1)), ideal((2, 0), (1, 1), (0, 2))):
+            assert is_integrally_closed(I), I
+            assert closure_lp(I) == I, I
+        # each misses a lattice point of its polygon, as (x^2, y^2) misses xy
+        for I in (ideal((2, 0), (0, 2)), ideal((3, 0), (0, 3)),
+                  ideal((3, 0), (2, 1), (0, 3)), ideal((4, 1), (1, 4))):
+            assert not is_integrally_closed(I), I
+            assert closure_lp(I) != I, I
+
+    def test_2d_against_closure_seeded(self):
+        """The 2D corner test against the walked closure on seeded ideals,
+        thin (x^N, y^k) with N up to 3,000 and ideals that are not
+        m-primary included, and against the LP closure on the small ones;
+        both answers drawn in each family."""
+        rng = random.Random(2028)
+        seen = set()
+        for n in range(900):
+            if n % 3 == 0:
+                gens = [(rng.randint(1, 3000), 0), (0, rng.randint(1, 4))]
+                if rng.random() < 0.5:
+                    gens.append((rng.randint(1, 40), rng.randint(1, 3)))
+                top = None
+            else:
+                top = rng.choice([3, 6, 12])
+                gens = [(rng.randint(0, top), rng.randint(0, top))
+                        for _ in range(rng.randint(1, 5))]
+            I = minimalize(gens, 2)
+            for J in (I, integral_closure(I)):
+                closed = integral_closure(J) == J
+                assert is_integrally_closed(J) == closed, J
+                if top is not None and top <= 6 and n % 4 == 1:
+                    assert (closure_lp(J) == J) == closed, J
+                seen.add((top is None, closed))
+        assert seen == {(True, True), (True, False),
+                        (False, True), (False, False)}
+
+    def test_2d_walks_no_column(self, monkeypatch):
+        """A 2D closedness test reads the box complement's corners, so no
+        staircase walk runs; a 3D one still walks."""
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return staircase(*args)
+
+        monkeypatch.setattr(newton, "staircase", counted)
+        rng = random.Random(17)
+        for _ in range(200):
+            I = minimalize([(rng.randint(0, 12), rng.randint(0, 12))
+                            for _ in range(rng.randint(1, 6))], 2)
+            is_integrally_closed(I)
+        assert walks == []
+        is_integrally_closed(ideal((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+        assert len(walks) == 1
 
 
 def test_np_injectivity_on_closed_ideals():
