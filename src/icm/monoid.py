@@ -22,9 +22,11 @@ h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since least values add under
 Minkowski sums.  The vectors lie in NP(I)'s type cone (McMullen 1973),
 where P(g) + P(h) = P(g + h), so for divisors J and K of I, J
 star-divides K iff h_K - h_J is a divisor's vector.  The vectors are
-read off one lattice point below each vertex of NP(I)
-(_Dividend.divisors), so d >= 3 factorization is one finite search plus
-vector arithmetic.  Searches carry an explicit budget; running out raises
+read off maps of NP(I)'s vertices that move each bounded edge by a part
+of its lattice length (Shephard 1963), found by a depth-first search
+over the edges (_Dividend.divisors), so d >= 3 factorization is one
+finite search, whose cost follows the number of divisors, plus vector
+arithmetic.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
 
 Inputs are checked where they enter, by MonomialIdeal.  The ideals built
@@ -40,7 +42,8 @@ and closed_supersets' candidates keep the checks.
 
 from __future__ import annotations
 
-from math import gcd, inf
+from itertools import combinations, product as iter_product
+from math import gcd
 from operator import add, le, mul, sub
 
 from .errors import (BudgetExceededError, NotIntegrallyClosedError,
@@ -48,16 +51,17 @@ from .errors import (BudgetExceededError, NotIntegrallyClosedError,
 from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
-from .newton import (_closed_from_edges, _closure_of_points,
-                     _descending_edges, _facet_inequalities, _lattice_ideal,
-                     _vertex_slacks, is_integrally_closed)
+from .newton import (_closed_2d, _closed_from_edges, _closure_of_points,
+                     _descending_edges, _edge_facets, _facet_inequalities,
+                     _lattice_ideal, _vertex_slacks, is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
 
 class SearchBudget:
-    """One unit per lattice point tried (closed_supersets: per candidate;
-    decompose_2d: one unit per basis copy)."""
+    """One unit per map of a divisor search (a node of its depth-first
+    search) and per divisor it yields; closed_supersets: per candidate;
+    decompose_2d: one unit per basis copy."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -179,35 +183,136 @@ class _Dividend:
 
     def divisors(self, budget):
         """h_J for each closed divisor J = ideal(h_J) of I, the unit and I
-        included, each once.  A point q_v <= v is chosen per vertex v of
-        NP(I), each point tried charged to the budget; per facet c, lo is
-        the least c.q_v and hi the largest c.q_v - slack_v(c) so far, and a
-        choice goes on while hi <= lo.  A full one yields h = lo.
+        included, each once, by a depth-first search over a spanning tree
+        of NP(I)'s bounded edges, whose cost follows the number of
+        divisors, not the boxes below NP(I)'s vertices.
 
-        Exact by support's test alone: at a full choice each q_v exceeds h
-        by at most v's slacks, so minimalize({q_v}), whose least values are
-        h, divides I, and its closure is ideal(h).  A closed divisor J's
-        witnesses in support make a choice with hi <= h_J <= lo at every
-        prefix, and lo = h_J in full, as each facet is tight at a vertex,
-        where the witness attains h_J.  The facets tight at v have rank d
-        and c.q_v = h(c) on them, so h fixes q_v: no divisor comes twice.
-        Unbounded faces need no condition, since support's test has none."""
+        A divisor is a map v -> q_v of the vertices.  They are placed one
+        at a time, each with the most edges to those placed before it, so
+        that cycles close early.  On its first such edge, from p with
+        primitive step u and lattice length l, w takes q_w = q_p + t·u for
+        an integer t in [0, l]; on each other one, from o with step u' and
+        length l', q_w - q_o must be t'·u' with t' in [0, l'].  Two edges
+        at w are not parallel, so at most one t meets the first of these,
+        and Cramer's rule gives it.  A full map fixes the divisor up to a
+        translation tau: it yields h(c) = c.(q_v + tau), v any vertex on
+        c's facet, once for each tau with 0 <= q_v + tau <= v at every
+        vertex, and t takes only the steps that leave such a tau.  Each map
+        tried, the first vertex's alone included, and each translate
+        yielded is charged to the budget.
+
+        Two vertices span a bounded edge iff no third vertex's mask of
+        tight facets contains their common one: the least face holding
+        both then has no other vertex, and the bounded edges of a pointed
+        polyhedron connect its vertices (newton._double_description's
+        adjacency test, with at least d - 1 common facets).
+
+        Every full map is a divisor's (Shephard 1963, here with NP(I)'s
+        recession cone).  Let c be inside v's normal cone, so c > 0 and v
+        alone attains c's least value on NP(I).  From any vertex a path of
+        bounded edges descends strictly in c to v, and on each of its edges
+        c.(q_w - q_o) = (t/l)·c.(w - o), so c is least over the q at q_v,
+        and over the v - q_v at v - q_v.  The support functions of Q =
+        conv(q) + R^d_+ and Q' = conv(v - q) + R^d_+ then add to NP(I)'s on
+        a dense set of normals, so Q + Q' = NP(I).  Both have lattice
+        vertices in R^d_+, so they are closed ideals' NPs, ideal(h) and its
+        cofactor, whose star product is I.  Every closed divisor J gives a
+        full map: q_v is the vertex of NP(J) where c is least, at most v by
+        support's test, and at an edge the faces of NP(J) and of its
+        cofactor's NP sum to the edge, so q_w - q_o = t·u with t an integer
+        in [0, l], as the q are lattice points.  Distinct steps and
+        translations give distinct maps, hence distinct Q: no divisor comes
+        twice."""
+        verts, slacks = zip(*self.vertex_slacks)
+        masks = [sum(1 << i for i, s in enumerate(slack) if s == 0)
+                 for slack in slacks]
+        dim = len(self.box)
+        # each vertex's edges: (neighbour, primitive step from it, length)
+        neighbours = [[] for _ in verts]
+        for i, j in combinations(range(len(verts)), 2):
+            common = masks[i] & masks[j]
+            if common.bit_count() >= dim - 1 and not any(
+                    z & common == common for k, z in enumerate(masks)
+                    if k != i and k != j):
+                diff = list(map(sub, verts[j], verts[i]))
+                length = gcd(*diff)
+                step = [a // length for a in diff]
+                neighbours[j].append((i, step, length))
+                neighbours[i].append((j, [-a for a in step], length))
+        # each vertex after the first, the one with the most edges to those
+        # placed before it, so that cycles close early: its first such edge
+        # is its tree edge, the others are checked
+        placed, tree = [0], []
+        while len(placed) < len(verts):
+            w = max((w for w in range(len(verts)) if w not in placed),
+                    key=lambda w: (sum(o in placed for o, _, _ in
+                                       neighbours[w]), -w))
+            (p, step, length), *checks = [e for e in neighbours[w]
+                                          if e[0] in placed]
+            pair = None
+            if checks:
+                # two coordinates on which the first check's step and the
+                # tree edge's are independent, with their determinant
+                s = checks[0][1]
+                pair = next((i, j, s[i] * step[j] - step[i] * s[j])
+                            for i, j in combinations(range(dim), 2)
+                            if s[i] * step[j] != step[i] * s[j])
+            tree.append((w, p, step, length, checks, pair))
+            placed.append(w)
         normals = [c for c, _ in self.facets]
+        on_facet = [(c, next(j for j, s in enumerate(slacks) if s[f] == 0))
+                    for f, c in enumerate(normals)]
 
-        def rec(i, lo, hi):
-            if i == len(self.vertex_slacks):
-                yield lo
+        def on_edge(diff, step, length):
+            t = next(a // u for a, u in zip(diff, step) if u)
+            return 0 <= t <= length and all(a == t * u
+                                            for a, u in zip(diff, step))
+
+        def rec(k, q, lo, hi):
+            if k == len(tree):
+                base = [sum(map(mul, c, q[j])) for c, j in on_facet]
+                for tau in iter_product(*map(range, lo, [b + 1 for b in hi])):
+                    budget.spend()
+                    yield tuple(b + sum(map(mul, c, tau))
+                                for b, c in zip(base, normals))
                 return
-            v, slack = self.vertex_slacks[i]
-            for q in box_points(v):
+            w, p, step, length, checks, pair = tree[k]
+            v, qp = verts[w], q[p]
+            # some lo <= tau <= hi has 0 <= q_w + tau <= v iff, per
+            # coordinate, -(hi + q_p) <= t·u <= v - q_p - lo
+            t_lo, t_hi = 0, length
+            for u, a, b, x, y in zip(step, qp, v, lo, hi):
+                low, high = -(y + a), b - a - x
+                if u < 0:
+                    low, high = high, low  # dividing by u flips them
+                if u:
+                    t_lo, t_hi = max(t_lo, -(-low // u)), min(t_hi, high // u)
+                elif high < 0:
+                    return
+            steps = range(t_lo, t_hi + 1)
+            if pair:
+                # edges to w from p and from o are not parallel, so q_p +
+                # t·u = q_o + t'·s meet at one t at most (Cramer's rule on
+                # two coordinates)
+                i, j, det = pair
+                o, s, _ = checks[0]
+                t, r = divmod(s[i] * (q[o][j] - qp[j])
+                              - s[j] * (q[o][i] - qp[i]), det)
+                steps = [t] if r == 0 and t_lo <= t <= t_hi else []
+            for t in steps:
                 budget.spend()
-                a = [sum(map(mul, c, q)) for c in normals]
-                lo_q = tuple(map(min, lo, a))
-                hi_q = tuple(map(max, hi, map(sub, a, slack)))
-                if all(map(le, hi_q, lo_q)):
-                    yield from rec(i + 1, lo_q, hi_q)
+                qw = [a + t * u for a, u in zip(qp, step)]
+                if all(on_edge(list(map(sub, qw, q[o])), s, l)
+                       for o, s, l in checks):
+                    q[w] = qw
+                    yield from rec(k + 1, q,
+                                   list(map(max, lo, (-a for a in qw))),
+                                   list(map(min, hi, map(sub, v, qw))))
 
-        yield from rec(0, (inf,) * len(normals), (-inf,) * len(normals))
+        q = [None] * len(verts)
+        q[0] = [0] * dim
+        budget.spend()
+        yield from rec(0, q, [0] * dim, list(verts[0]))
 
 
 def _require_closed(I, name="ideal"):
@@ -264,22 +369,26 @@ def divides(I, J, budget=DEFAULT_BUDGET):
     edges, and a Minkowski sum merges edges by slope, so NP(I) + NP(K) =
     NP(J) iff the corners add and edges(I) + edges(K) = edges(J) as
     multisets: K's corner and edges are J's less I's, and K is built from
-    them (newton._descending_edges, newton._closed_from_edges).  Other
+    them (newton._descending_edges, newton._closed_from_edges).  J's edges
+    are read once: its closedness test takes its facets from them
+    (newton._edge_facets, newton._closed_2d).  Other
     dimensions read K off J's facets and vertices (see _Dividend).  By
     cancellation K is J : I either way, and no colon, product or search
     runs.  I need not be closed.  The budget keyword is kept because
     callers pass one to every monoid query; it is never spent.
     """
     _check_dims(I, J)
-    if not is_integrally_closed(J):
-        return None
     if I.dim == 2:
-        (ix, iy), have = _descending_edges(I.gens)
         (jx, jy), edges = _descending_edges(J.gens)
+        if not _closed_2d(J.gens, _edge_facets((jx, jy), edges.items())):
+            return None
+        (ix, iy), have = _descending_edges(I.gens)
         if ix > jx or iy > jy or not have <= edges:
             return None
         return _closed_from_edges((jx - ix, jy - iy), [
             (e, c - have[e]) for e, c in edges.items() if c > have[e]])
+    if not is_integrally_closed(J):
+        return None
     dividend = _Dividend(J)
     h = dividend.support(I)
     return None if h is None else dividend.cofactor(h)

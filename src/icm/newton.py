@@ -19,7 +19,9 @@ sorted antichain by proof.  Closedness walks the box only for d != 2:
 a 2D ideal is closed iff its box complement's inner corners lie outside
 NP, a test of each on the facets.  A 2D polygon is also its corner and
 its descending edges counted by lattice length (_descending_edges),
-which its facets, monoid.divides and the colon factorization read.  The
+which its facets (_edge_facets), monoid.divides and the colon
+factorization read; divides reads J's once, for its closedness test
+(_closed_2d) and its cofactor.  The
 tests check the description against an independent rational LP and a
 rank test of each facet.
 """
@@ -148,17 +150,25 @@ def _descending_edges(points):
     return (points[0][0], min(p[1] for p in points)), edges
 
 
-def _chain_facets_2d(points):
-    """Facets of a 2D polyhedron from its sorted points: the two axis
-    facets and one per descending edge (a, b) of the lower convex chain,
-    with the normal (b, a), read off where the edge starts."""
-    (x, low), edges = _descending_edges(points)
-    y = points[0][1]
+def _edge_facets(corner, edges):
+    """Facets of the 2D polyhedron with the corner (x, y) and the
+    descending edges edges, ((a, b), c) pairs steepest first: the two axis
+    facets and one per edge, with the normal (b, a), read off where the
+    edge starts, at height y plus the b*c of it and the edges after it."""
+    x, low = corner
+    y = low + sum(b * c for (_, b), c in edges)
     facets = [((1, 0), x), ((0, 1), low)]
-    for (a, b), c in edges.items():
+    for (a, b), c in edges:
         facets.append(((b, a), b * x + a * y))
         x, y = x + a * c, y - b * c
     return tuple(facets)
+
+
+def _chain_facets_2d(points):
+    """Facets of a 2D polyhedron from its sorted points, read off its
+    corner and the descending edges of its lower convex chain."""
+    corner, edges = _descending_edges(points)
+    return _edge_facets(corner, edges.items())
 
 
 def _double_description(pts, dim):
@@ -286,6 +296,14 @@ def _closed_from_edges(corner, edges):
     return _sorted_antichain(2, tuple(gens))
 
 
+def _closed_2d(gens, facets):
+    """Is the 2D ideal of the sorted generators, with NP's facets, closed?
+    No inner corner (x_(i+1) - 1, y_i - 1) of its box complement lies in
+    NP, each tested on the facets in integers (is_integrally_closed)."""
+    return not any(all(a * (x - 1) + b * (y - 1) >= m for (a, b), m in facets)
+                   for (_, y), (x, _) in zip(gens, gens[1:]))
+
+
 def is_integrally_closed(I):
     """Each generator of the closure is one of I.
 
@@ -299,8 +317,6 @@ def is_integrally_closed(I):
     at the first line with a generator of the closure that I lacks."""
     facets = _facet_inequalities(I.gens, I.dim)
     if I.dim == 2:
-        return not any(all(a * (x - 1) + b * (y - 1) >= m
-                           for (a, b), m in facets)
-                       for (_, y), (x, _) in zip(I.gens, I.gens[1:]))
+        return _closed_2d(I.gens, facets)
     gens = set(I.gens)
     return all(p in gens for p in lattice_generators(facets, generator_box(I)))

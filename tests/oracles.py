@@ -8,16 +8,20 @@ the same questions by rational LP feasibility, by exhaustive search or
 by a colon and a star product, by comparing all pairs, by intersecting
 shifted ideals and by hulling all pairwise sums instead, and check a
 claimed facet by the rank of its tight directions.  The searches
-test every candidate divisor in full, with no facet or variable shortcut.
+test every candidate divisor in full, with no facet or variable shortcut,
+except divisors_by_points, which reads the divisors' support vectors off
+the dividend's facets by trying lattice points below its vertices, where
+the library walks the edges of its Newton polyhedron.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
+from math import inf
 
 from icm.errors import DimensionMismatchError
 from icm.feasibility import feasible_nonneg
-from icm.ideals import MonomialIdeal, ord_valuation
+from icm.ideals import MonomialIdeal, box_points, ord_valuation
 from icm.monoid import closed_supersets, star
 
 
@@ -161,6 +165,37 @@ def divides_by_colon(I, J):
         raise DimensionMismatchError(f"dimensions differ: {I.dim} vs {J.dim}")
     K = colon_by_intersection(J, I)
     return K if star(I, K) == J else None
+
+
+def divisors_by_points(dividend, budget):
+    """The support vectors h_J of the closed divisors J of a monoid._Dividend
+    I, by trying every lattice point q_v <= v below each vertex v of NP(I),
+    each point charged to the budget.  Per facet c, lo is the least c.q_v
+    and hi the largest c.q_v - slack_v(c) so far; a choice goes on while hi
+    <= lo, and a full one yields h = lo.  Nothing is read of NP(I)'s edges.
+
+    Exact by the dividend's support test alone: at a full choice each q_v
+    exceeds h by at most v's slacks, so minimalize({q_v}), whose least
+    values are h, divides I.  A closed divisor's witnesses in that test
+    make a choice with hi <= h_J <= lo at every prefix, and lo = h_J in
+    full.  The facets tight at v have rank d and c.q_v = h(c) on them, so h
+    fixes q_v: no divisor comes twice."""
+    normals = [c for c, _ in dividend.facets]
+
+    def rec(i, lo, hi):
+        if i == len(dividend.vertex_slacks):
+            yield lo
+            return
+        v, slack = dividend.vertex_slacks[i]
+        for q in box_points(v):
+            budget.spend()
+            a = [sum(x * y for x, y in zip(c, q)) for c in normals]
+            lo_q = tuple(map(min, lo, a))
+            hi_q = tuple(max(x, y - s) for x, y, s in zip(hi, a, slack))
+            if all(x <= y for x, y in zip(hi_q, lo_q)):
+                yield from rec(i + 1, lo_q, hi_q)
+
+    yield from rec(0, (inf,) * len(normals), (-inf,) * len(normals))
 
 
 def divides_by_search(I, J):

@@ -286,6 +286,13 @@ class TestExitCodes:
         assert code == 3
         assert int(out["examined"]) >= 1
 
+    def test_budget_of_one_stops_the_first_split(self, capsys):
+        # the divisor search's first map places one vertex of NP(x^2, xy,
+        # y^2), and its second, a step on the one edge, is past the budget
+        code, out = run(capsys, "--budget", "1", "factor", "x^2,x*y,y^2")
+        assert (code, out["error"], out["examined"]) == (
+            3, "search budget of 1 exceeded", "2")
+
     def test_decompose2d_budget_exceeded(self, capsys):
         # coefficients summing to 2,000,001 copies, past the default budget
         code, out = run(capsys, "decompose2d", "0,0; 1000000,1; 1,1000000")

@@ -24,8 +24,9 @@ from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
 from icm.properties import random_closed_ideal
 from oracles import (closure_lp, divides_by_colon, divides_by_search,
-                     factorizations_by_search, irreducible_by_search,
-                     is_facet, minimal_by_pairs, vertices_lp)
+                     divisors_by_points, factorizations_by_search,
+                     irreducible_by_search, is_facet, minimal_by_pairs,
+                     vertices_lp)
 
 
 def ideal(*gens):
@@ -342,8 +343,8 @@ class TestIrreducible:
         assert is_star_irreducible(I, budget=SearchBudget(0))
 
     def test_budget_exceeded_is_distinct(self):
-        # a budget of one covers only the first lattice point tried, below
-        # the first vertex, so the search stops before any divisor
+        # a budget of one covers only the search's first map, which
+        # places the first vertex alone, so it stops before any divisor
         with pytest.raises(BudgetExceededError):
             is_star_irreducible(ideal((9, 0), (1, 1), (0, 9)),
                                 budget=SearchBudget(1))
@@ -471,13 +472,13 @@ class TestAllFactorizations:
             assert all_factorizations(I) == factorizations_by_search(I), I
 
     def test_lipman_search_work(self):
-        # pins one divisor search: 365 lattice points tried below the
-        # vertices of NP(L)
+        # pins one divisor search: 67 maps tried and translates yielded on
+        # the bounded edges of NP(L) (365 lattice points by the old search)
         L = star(parse_ideal("x,y,z"),
                  parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z"))
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 365
+        assert budget.examined == 67
         assert {len(fz) for fz in found} == {2, 3}
 
     def test_monomial_factor_adds_variables(self):
@@ -489,7 +490,7 @@ class TestAllFactorizations:
         expected = {tuple(sorted(fz + (x,), key=lambda a: a.gens))
                     for fz in all_factorizations(L, budget=alone)}
         assert all_factorizations(star(x, L), budget=joint) == expected
-        assert joint.examined == alone.examined == 365
+        assert joint.examined == alone.examined == 67
 
     def test_monomial_factor_leaves_one_search(self):
         alone, joint = SearchBudget(None), SearchBudget(None)
@@ -498,7 +499,7 @@ class TestAllFactorizations:
         assert all_factorizations(I, budget=joint) == {tuple(sorted(
             (ideal((0, 1, 0)), ideal((1, 0, 0)), ideal((1, 0, 0)), J1),
             key=lambda a: a.gens))}
-        assert joint.examined == alone.examined == 76
+        assert joint.examined == alone.examined == 13
 
     def test_lipman_walks_few_candidates(self):
         # the divisor search reads every divisor off the dividend's one
@@ -508,7 +509,7 @@ class TestAllFactorizations:
         _facet_inequalities.cache_clear()
         budget = SearchBudget(None)
         found = all_factorizations(L, budget=budget)
-        assert budget.examined == 365
+        assert budget.examined == 67
         assert {len(fz) for fz in found} == {2, 3}
         assert _facet_inequalities.cache_info().misses == 1
 
@@ -550,6 +551,46 @@ class TestDivisorPairs:
                            for h in dividend.divisors(SearchBudget(None))),
                           key=by_gens) == sorted(
                 ((J, K) for J, K in pairs if K is not None), key=by_gens), I
+
+    @staticmethod
+    def edge_search_and_oracle(I):
+        """The DFS's and the point oracle's support vectors, each checked
+        for the same set with no repeats, and the budget each spent."""
+        dividend = _Dividend(I)
+        nodes, points = SearchBudget(None), SearchBudget(None)
+        found = list(dividend.divisors(nodes))
+        assert len(found) == len(set(found)), I
+        assert set(found) == set(divisors_by_points(dividend, points)), I
+        return nodes.examined, points.examined
+
+    def test_edge_search_matches_point_oracle_seeded(self):
+        # closed ideals in d = 2, 3, 4 in turn, exponents up to 3, every
+        # fifth a star square; the 4D squares come from exponents up to 2,
+        # as the oracle spends seconds below the vertices of larger ones
+        rng = random.Random(29)
+        for i in range(900):
+            dim = 2 + i % 3
+            square = i % 5 == 4
+            I = integral_closure(minimalize(
+                [tuple(rng.randint(0, 2 if square and dim == 4 else 3)
+                       for _ in range(dim))
+                 for _ in range(rng.randint(1, 4))], dim))
+            self.edge_search_and_oracle(star(I, I) if square else I)
+
+    @pytest.mark.parametrize("I, most", [
+        (star(M3, J1), 100), (star_power(star(M3, J1), 2), 400),
+        (star_power(star(M3, J1), 3), 1000), (star_power(J1, 6), 100),
+        (ideal((0, 2, 5), (0, 3, 4), (0, 4, 3), (1, 2, 4), (1, 3, 3),
+               (2, 1, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2), (4, 1, 3),
+               (5, 1, 2)), 100)],
+        ids=["L", "L*L", "L^3", "J1^6", "cycle-checks"])
+    def test_edge_search_matches_point_oracle_named(self, I, most):
+        # the cost follows the divisors (10, 45, 136, 7 and 24), not the
+        # vertices' boxes (365 to 12,945 points for the oracle); on the
+        # last ideal, edges off the spanning tree reject maps that the
+        # tree's steps and the translations allow, with t' < 0 or t' > l'
+        nodes, points = self.edge_search_and_oracle(I)
+        assert nodes <= most < points
 
 
 def least(J, c):
