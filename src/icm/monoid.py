@@ -33,10 +33,11 @@ Inputs are checked where they enter, by MonomialIdeal.  The ideals built
 here skip those checks where they are sorted antichains by proof: star
 and star_power close their raw points (pairwise sums, dilated
 generators; the closure reads only the points' hull, so none is
-minimalized), _Dividend's divisors and cofactors are walks of I's
-facets, all built by newton._lattice_ideal, a 2D cofactor is read off
-its polygon's columns by newton._closed_from_edges, and
-_split_monomial's R is normalize_translation's shift.  The primes (x_i)
+minimalized) by newton._closure_of_points, _Dividend's divisors and
+cofactors are walks of I's facets by newton._lattice_ideal, a 2D
+closure or cofactor is read off its polygon's edges by
+newton._closed_from_edges, and _split_monomial's R is
+normalize_translation's shift.  The primes (x_i)
 and closed_supersets' candidates keep the checks.
 """
 
@@ -53,7 +54,8 @@ from .ideals import (_Record, _check_dims, box_points, contains,
                      normalize_translation, ord_valuation, principal_ideal)
 from .newton import (_closed_2d, _closed_from_edges, _closure_of_points,
                      _descending_edges, _edge_facets, _facet_inequalities,
-                     _lattice_ideal, _vertex_slacks, is_integrally_closed)
+                     _lattice_ideal, _vertex_slacks, convex_chain,
+                     is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -152,7 +154,9 @@ class _Dividend:
     def __init__(self, I):
         self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
-        self.vertex_slacks = sorted(_vertex_slacks(I.gens, self.facets).items())
+        # a 2D NP's vertices are its lower chain's corners
+        points = convex_chain(I.gens) if I.dim == 2 else I.gens
+        self.vertex_slacks = sorted(_vertex_slacks(points, self.facets).items())
 
     def support(self, J):
         """h_J on I's facet normals if J star-divides I, else None.

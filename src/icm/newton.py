@@ -6,22 +6,25 @@ answered from one exact half-space description that holds only the
 facets, with primitive integer normals, built once per point set by
 _facet_inequalities, whose cache holds a bounded number of descriptions.
 2D facets are read off the lower convex chain; in every other dimension
-they come from the double description method.  Vertices and equality are
-read off the facets, so no LP runs.  Integral closure is a staircase walk
-of a box, one line of columns at a time, that reads the line's lowest
-points of NP off the facets and yields the minimal generators alone; they
-are a sorted antichain by the walk's proof, so every closure (of an
-ideal, of a raw point set such as star's pairwise sums, of a divisor's
-facets) is built by _lattice_ideal and skips MonomialIdeal's checks;
-so is a 2D closed ideal built from its polygon's edges
-(_closed_from_edges), whose generators, read column by column, are a
-sorted antichain by proof.  Closedness walks the box only for d != 2:
+they come from the double description method, fed the points extreme
+first.  Vertices and equality are read off the facets, so no LP runs.  A
+2D polygon is also its corner and its descending edges counted by
+lattice length (_descending_edges), and every 2D closure (of an ideal or
+of a raw point set such as star's pairwise sums) is built from that
+reading alone by _closed_from_edges, as is a colon factorization's
+product from its counted factors; the generators, one per column or row
+of an edge, are a sorted antichain by proof, and no facet is built and
+no box is walked.  In other dimensions integral closure is a staircase
+walk of a box, one line of columns at a time, that reads the line's
+lowest points of NP off the facets with m > 0 and yields the minimal
+generators alone; they are a sorted
+antichain by the walk's proof, so every such closure (of an ideal, of a
+raw point set, of a divisor's facets) is built by _lattice_ideal and
+skips MonomialIdeal's checks.  Closedness walks the box only for d != 2:
 a 2D ideal is closed iff its box complement's inner corners lie outside
-NP, a test of each on the facets.  A 2D polygon is also its corner and
-its descending edges counted by lattice length (_descending_edges),
-which its facets (_edge_facets), monoid.divides and the colon
-factorization read; divides reads J's once, for its closedness test
-(_closed_2d) and its cofactor.  The
+NP, a test of each on the facets.  The edge reading also gives the 2D
+facets (_edge_facets), which monoid.divides reads once, for its
+closedness test (_closed_2d), with the edges for its cofactor.  The
 tests check the description against an independent rational LP and a
 rank test of each facet.
 """
@@ -212,8 +215,9 @@ def _double_description(pts, dim):
 @lru_cache(maxsize=1024)
 def _facet_inequalities(points, dim):
     """The facets c.x >= m (c >= 0 primitive, m = min of c over the points)
-    of conv(points) + R^d_+.  The polyhedron is full-dimensional, so its
-    facets alone cut it out, and distinct facets have distinct normals.
+    of conv(points) + R^d_+, as a sorted tuple.  The polyhedron is
+    full-dimensional, so its facets alone cut it out, and distinct facets
+    have distinct normals.
 
     Cached by the points as given, so an ideal or polyhedron asked again
     (a dividend, a member test's polyhedron) builds its facets once; the
@@ -221,12 +225,15 @@ def _facet_inequalities(points, dim):
     facets come from the lower convex chain in O(n log n), which is many
     times faster than the general routine on the small polygons that
     dominate closure work; every other dimension, 1 included, takes the
-    double description.
+    double description, fed the points with the largest coordinate first.
+    Those lie far out along an axis, mostly vertices whose cuts shape the
+    cone early, so the points after them cut few rays; the facets are the
+    same in any order, and sorting them makes the tuple so too.
     """
-    pts = sorted(set(points))
     if dim == 2:
-        return _chain_facets_2d(pts)
-    return _double_description(pts, dim)
+        return _chain_facets_2d(sorted(set(points)))
+    pts = sorted(set(points), key=lambda p: (-max(p), p))
+    return tuple(sorted(_double_description(pts, dim)))
 
 
 def lattice_generators(facets, box):
@@ -234,15 +241,17 @@ def lattice_generators(facets, box):
     facets} whose coordinates other than the walked one lie in box, by a
     staircase walk along the box's longest axis k.  A column u's lowest
     point is the largest ceil((m - c.u) / c_k) over the facets with
-    c_k > 0, unless one with c_k = 0 excludes the whole column.  Each
-    facet's steps c.u along a line are taken once; a line then costs one
-    dot product of its prefix per facet and one pass over the steps."""
+    c_k > 0, unless one with c_k = 0 excludes the whole column.  A facet
+    with m <= 0, such as a coordinate facet x_j >= 0, holds on every
+    point x >= 0 (c >= 0), so it is not read.  Each facet's steps c.u
+    along a line are taken once; a line then costs one dot product of its
+    prefix per facet and one pass over the steps."""
     k = max(range(len(box)), key=box.__getitem__)
     axes = [range(b + 1) for b in box]
     cols = axes[:k] + axes[k + 1:]
     along = list(map(sum, iter_product(*cols[-1:])))  # [0] if d = 1
     rows = [(u[:-1], c[k], m, [c_last * x for x in along])
-            for c, m in facets for u in [c[:k] + c[k + 1:]]
+            for c, m in facets if m > 0 for u in [c[:k] + c[k + 1:]]
             for c_last in [sum(u[-1:])]]
 
     def line(prefix):
@@ -266,15 +275,20 @@ def _lattice_ideal(facets, box):
 
 def integral_closure(I):
     """Closure of a monomial ideal: minimal lattice points of NP(I), which
-    all lie in the generator box."""
-    return _lattice_ideal(_facet_inequalities(I.gens, I.dim), generator_box(I))
+    all lie in the generator box (_closure_of_points)."""
+    return _closure_of_points(I.gens, I.dim)
 
 
 def _closure_of_points(points, dim):
     """Closure of the ideal that the points generate, such as star's
     pairwise sums: NP reads only their hull, so no minimalizing pass runs.
-    The points' box holds the box of their minimal points, so the walk
-    misses no generator."""
+    In 2D it is built from the polygon's corner and descending edges, with
+    no facets and no walk.  Other dimensions walk the points' box, which
+    holds the box of their minimal points, so the walk misses no
+    generator."""
+    if dim == 2:
+        corner, edges = _descending_edges(sorted(set(points)))
+        return _closed_from_edges(corner, edges.items())
     pts = tuple(points)
     return _lattice_ideal(_facet_inequalities(pts, dim),
                           tuple(map(max, zip(*pts))))
@@ -282,16 +296,22 @@ def _closure_of_points(points, dim):
 
 def _closed_from_edges(corner, edges):
     """The closed 2D ideal whose Newton polygon has the corner (x, y) and
-    the descending edges edges, ((a, b), c) pairs steepest first: c steps
-    (a, -b) each, from (x, y + sum of the b*c).  On an edge from (x, y),
-    column x + s (0 < s <= a*c) has its lowest point at y - floor(b*s/a),
-    a generator iff that floor rose at s, so the points come out a sorted
-    antichain."""
+    the descending edges edges, ((a, b), c) pairs with a, b > 0 steepest
+    first: c steps (a, -b) each, from (x, y + sum of the b*c).  On an edge
+    from (x, y), column x + s (0 < s <= a*c) has its lowest point at
+    y - floor(b*s/a), a generator iff that floor rose at s.  The loop
+    steps along the shorter side, so its cost is the number of generators:
+    with a <= b the floor rises at every column; with a > b it rises by one
+    at a time, so each row y - j (0 < j <= b*c) has one generator, in the
+    first column that reaches it, x + ceil(j*a/b).  The points come out a
+    sorted antichain."""
     x, y = corner[0], corner[1] + sum(b * c for (_, b), c in edges)
     gens = [(x, y)]
     for (a, b), c in edges:
-        gens += [(x + s, y - b * s // a) for s in range(1, a * c + 1)
-                 if b * s // a > b * (s - 1) // a]
+        if a <= b:
+            gens += [(x + s, y - b * s // a) for s in range(1, a * c + 1)]
+        else:
+            gens += [(x - (-j * a // b), y - j) for j in range(1, b * c + 1)]
         x, y = x + a * c, y - b * c
     return _sorted_antichain(2, tuple(gens))
 

@@ -22,7 +22,7 @@ from .errors import DimensionMismatchError
 from .ideals import (_Record, _check_dims, _check_points, minimalize,
                      normalize_translation, unit_ideal)
 from .monoid import _as_budget, _require_closed, star
-from .newton import (NewtonPolyhedron, _closure_of_points,
+from .newton import (NewtonPolyhedron, _closed_from_edges,
                      _descending_edges, convex_chain, integral_closure,
                      vertices)
 
@@ -411,20 +411,13 @@ class ColonFactorization(_Record):
         """NP of a product is the Minkowski sum of the factors' NPs,
         whatever their closures, and NP of c copies of (x^a, y^b) is that
         of (x^(c*a), y^(c*b)), the segment (c*a, -c*b) plus R^2_+.  A sum
-        of such polygons has the segments for edges, steepest first, so
-        its lower chain runs from x^num_monomial * y^(sum of c*b) through
-        one corner per distinct factor, and one closure of those corners
-        is the answer: no product is formed."""
-        x, y = self.num_monomial
-        edges = sorted(((c * a, c * b) for (a, b), c
-                        in Counter(self.num_factors).items()),
-                       key=cmp_to_key(lambda e, f: e[0] * f[1] - f[0] * e[1]))
-        y += sum(b for _, b in edges)
-        corners = [(x, y)]
-        for a, b in edges:
-            x, y = x + a, y - b
-            corners.append((x, y))
-        return _closure_of_points(corners, 2)
+        of such polygons has the segments for edges, steepest first, from
+        the corner num_monomial, so the counted factors are its descending
+        edges and the answer is built from them: no product is formed."""
+        edges = sorted(Counter(self.num_factors).items(),
+                       key=cmp_to_key(lambda e, f: e[0][0] * f[0][1]
+                                      - f[0][0] * e[0][1]))
+        return _closed_from_edges(self.num_monomial, edges)
 
 
 def colon_factorization_2d(I):

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from itertools import product as iproduct
 from math import gcd
+from operator import gt, lt
 
 import pytest
 
@@ -17,8 +18,8 @@ from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
                         closed_supersets, divides, factor_atoms,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
-from icm.newton import (_closure_of_points, _descending_edges,
-                        _facet_inequalities, integral_closure,
+from icm.newton import (_descending_edges, _facet_inequalities,
+                        _vertex_slacks, integral_closure,
                         is_integrally_closed)
 from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
@@ -90,16 +91,19 @@ class TestStar:
             assert S == closure_lp(product(I, J)), (I, J)
 
     def test_retained_memory_stops_growing(self):
-        # closure and star build their facets through one cache, bounded
-        # in entries: past the bound, more distinct queries retain no more
-        # memory, however long the process runs
-        pairs = [(a, b) for a in range(2, 40) for b in range(2, 40)]
+        # 3D closure and star build their facets through one cache,
+        # bounded in entries: past the bound, more distinct queries retain
+        # no more memory, however long the process runs.  The inputs are
+        # the ideals of two incomparable points of [0, 3]^3; each pair
+        # enters two keys, its ideal's and its star's sums
+        cube = list(iproduct(range(4), repeat=3))
+        pairs = [(p, q) for i, p in enumerate(cube) for q in cube[i + 1:]
+                 if any(map(gt, p, q)) and any(map(lt, p, q))]
         random.Random(88).shuffle(pairs)
-        M = ideal((1, 0), (0, 1))
 
         def retained_after(batch):
-            for a, b in batch:
-                star(integral_closure(ideal((a, 0), (1, 1), (0, b))), M)
+            for p, q in batch:
+                star(integral_closure(ideal(p, q)), M3)
             gc.collect()
             return tracemalloc.get_traced_memory()[0]
 
@@ -251,12 +255,19 @@ class TestDivides2d:
 
     def test_cofactor_builder_matches_walk(self):
         """newton._closed_from_edges against the walked closure of the
-        polygon's corners, on seeded corners and edges."""
+        polygon's corners, read off their facets, and the small ones
+        against the LP closure, on seeded corners and edges.  Every fourth
+        draw adds an edge whose run far exceeds its rise, or the
+        transpose, so both of the builder's stepping branches run long."""
         rng = random.Random(77)
-        for _ in range(400):
+        for n in range(400):
             steps = {(a // gcd(a, b), b // gcd(a, b))
                      for _ in range(rng.randint(0, 4))
                      for a, b in [(rng.randint(1, 9), rng.randint(1, 9))]}
+            if n % 4 == 0:
+                a, b = rng.randint(10, 1000), rng.randint(1, 3)
+                g = gcd(a, b)
+                steps.add((a // g, b // g) if n % 8 else (b // g, a // g))
             edges = sorted(((e, rng.randint(1, 3)) for e in steps),
                            key=lambda e: -e[0][1] / e[0][0])
             x, y = rng.randint(0, 3), rng.randint(0, 3)
@@ -266,8 +277,13 @@ class TestDivides2d:
             for (a, b), c in edges:
                 x, y = x + a * c, y - b * c
                 points.append((x, y))
-            assert (newton._closed_from_edges(corner, edges)
-                    == _closure_of_points(points, 2)), (corner, edges)
+            built = newton._closed_from_edges(corner, edges)
+            walked = newton._lattice_ideal(
+                _facet_inequalities(tuple(points), 2),
+                tuple(map(max, zip(*points))))
+            assert built == walked, (corner, edges)
+            if n % 10 == 1 and max(x for x, _ in points) <= 12:
+                assert built == closure_lp(minimalize(points, 2)), edges
 
     def test_walks_no_column(self, monkeypatch):
         """A 2D divides walks no box, whether J is closed or not and
@@ -591,6 +607,19 @@ class TestDivisorPairs:
         # tree's steps and the translations allow, with t' < 0 or t' > l'
         nodes, points = self.edge_search_and_oracle(I)
         assert nodes <= most < points
+
+    def test_2d_vertices_off_the_chain(self):
+        # a 2D dividend reads NP(I)'s vertices off its lower convex chain;
+        # every generator's slacks give the same vertices and slacks
+        rng = random.Random(64)
+        for _ in range(500):
+            top = rng.choice([3, 6, 12, 40])
+            I = integral_closure(minimalize(
+                [(rng.randint(0, top), rng.randint(0, top))
+                 for _ in range(rng.randint(1, 5))], 2))
+            dividend = _Dividend(I)
+            assert dividend.vertex_slacks == sorted(
+                _vertex_slacks(I.gens, dividend.facets).items()), I
 
 
 def least(J, c):

@@ -8,9 +8,12 @@ from icm import newton
 from icm.errors import DimensionMismatchError
 from icm.ideals import (MonomialIdeal, contains, minimalize, principal_ideal,
                         product, staircase, unit_ideal)
-from icm.newton import (NewtonPolyhedron, _facet_inequalities,
-                        integral_closure, is_integrally_closed, member,
-                        mink_sum, np_equal, np_of, reduce_points, vertices)
+from icm.monoid import star, star_power
+from icm.newton import (NewtonPolyhedron, _double_description,
+                        _facet_inequalities, integral_closure,
+                        is_integrally_closed, member, mink_sum, np_equal,
+                        np_of, reduce_points, vertices)
+from icm.polytopes import colon_factorization_2d, hull, phi
 from oracles import closure_lp, is_facet, member_lp, vertices_lp
 
 
@@ -159,6 +162,24 @@ class TestFacetInequalities:
         P = NewtonPolyhedron(4, tuple(pts))
         for q in probe_points(rng, pts):
             assert member(P, q) == member_lp(pts, q), q
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_order_independent(self, dim):
+        """The double description fed the points extreme first gives the
+        facets that lex order gives, returned as a sorted tuple, on seeded
+        point sets and on lifted hull points (p, -sum(p)), which have
+        negative coordinates, as polytopes.hull builds them."""
+        rng = random.Random(60 + dim)
+        for n in range(150):
+            lifted = n % 2
+            pts = [tuple(rng.randint(0, 6) for _ in range(dim - lifted))
+                   for _ in range(rng.randint(1, 12))]
+            if lifted:
+                pts = [p + (-sum(p),) for p in pts]
+            facets = _facet_inequalities(tuple(pts), dim)
+            assert type(facets) is tuple and list(facets) == sorted(facets)
+            assert set(facets) == set(
+                _double_description(sorted(set(pts)), dim)), pts
 
 
 class TestVertices:
@@ -385,8 +406,11 @@ class TestIsIntegrallyClosed:
                         (False, True), (False, False)}
 
     def test_2d_walks_no_column(self, monkeypatch):
-        """A 2D closedness test reads the box complement's corners, so no
-        staircase walk runs; a 3D one still walks."""
+        """A 2D closedness test reads the box complement's corners, and a
+        2D closure (integral_closure, star, star_power, a colon
+        factorization's evaluate, phi) is built from the polygon's edges,
+        so no staircase walk runs; a 3D closedness test and a 3D closure
+        each still walk once."""
         walks = []
 
         def counted(*args):
@@ -396,12 +420,20 @@ class TestIsIntegrallyClosed:
         monkeypatch.setattr(newton, "staircase", counted)
         rng = random.Random(17)
         for _ in range(200):
-            I = minimalize([(rng.randint(0, 12), rng.randint(0, 12))
-                            for _ in range(rng.randint(1, 6))], 2)
+            I, J = (minimalize([(rng.randint(0, 12), rng.randint(0, 12))
+                                for _ in range(rng.randint(1, 6))], 2)
+                    for _ in range(2))
             is_integrally_closed(I)
+            C = integral_closure(I)
+            star(I, J)
+            star_power(I, rng.randint(0, 3))
+            colon_factorization_2d(C).evaluate()
+            phi(hull(I.gens + J.gens, 2))
         assert walks == []
         is_integrally_closed(ideal((2, 0, 0), (0, 2, 0), (0, 0, 2)))
         assert len(walks) == 1
+        integral_closure(ideal((3, 0, 0), (0, 2, 0), (0, 0, 2)))
+        assert len(walks) == 2
 
 
 def test_np_injectivity_on_closed_ideals():

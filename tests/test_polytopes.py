@@ -537,13 +537,13 @@ class TestColonFactorization:
 
 class TestColonEvaluate:
     def test_evaluate_multiplies_once_per_distinct_factor(self, monkeypatch):
-        # c copies of (x^a, y^b) are one (x^(c*a), y^(c*b)) up to closure;
-        # adding copy by copy would close one corner per copy
+        # c copies of (x^a, y^b) are one edge of lattice length c; adding
+        # copy by copy would read one edge per copy
         f = colon_factorization_2d(integral_closure(ideal((40, 0), (0, 40))))
         assert f.num_factors == ((1, 1),) * 40
         calls = []
-        real = polytopes._closure_of_points
-        monkeypatch.setattr(polytopes, "_closure_of_points",
+        real = polytopes._closed_from_edges
+        monkeypatch.setattr(polytopes, "_closed_from_edges",
                             lambda *args: calls.append(args) or real(*args))
         assert f.evaluate() == f.base
-        assert calls == [([(0, 40), (40, 0)], 2)]
+        assert calls == [((0, 0), [((1, 1), 40)])]
