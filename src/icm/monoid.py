@@ -1,19 +1,20 @@
 """The monoid of integrally closed monomial ideals under I*J = closure(IJ).
 
-Everything here rests on NP(J*K) = NP(J) + NP(K), and three answers are
+Everything here rests on NP(J*K) = NP(J) + NP(K), and four answers are
 read off it with no search.  Each (x_i) is prime and least values add,
 so I = x^m·R splits once into m_i copies of each (x_i) and an R with no
 monomial factor, whose divisors have none either (_split_monomial).  An
-NP(R) with one facet off the coordinate hyperplanes is a dilated simplex,
-whose only lattice summands are its own dilates, so R is an atom when
-its intercepts have gcd 1: Zariski's one-edge rule, in any dimension
-(_proper_split).  NP(I^n) = n·NP(I), so a star power is one closure
-(star_power).  In two variables factorization is unique (Zariski), so
-one split sequence finds it.  In two variables, too, a Newton polygon
+NP(R) with one facet off the coordinate hyperplanes is g·NP(S), for g
+the gcd of its intercepts and a simplex S whose only lattice summands
+are its own dilates, so R is g copies of the atom S: Zariski's one-edge
+rule, in any dimension (_atom_power).  NP(I^n) = n·NP(I), so a star
+power is one closure (star_power).  In two variables a Newton polygon
 is its corner and its descending edges counted by lattice length, and a
-Minkowski sum adds both, so divisibility and the cofactor are a
-comparison and a difference of the two readings (divides).  In other
-dimensions a divisor J of I has only I's facet normals, and each vertex
+Minkowski sum adds both.  So I's one factorization (Zariski) is read
+off that reading, the corner's copies of (x) and (y) and c copies of
+closure(x^a, y^b) per edge of step (a, b) and length c (_zariski), and
+divisibility and the cofactor are a comparison and a difference of two
+readings (divides).  In other dimensions a divisor J of I has only I's facet normals, and each vertex
 of NP(I) is a vertex of NP(J) plus one of the cofactor's: divisibility
 and the cofactor are read off I's one facet description (_Dividend).  A
 closed divisor J is fixed by its support vector h_J, its
@@ -24,8 +25,8 @@ where P(g) + P(h) = P(g + h), so for divisors J and K of I, J
 star-divides K iff h_K - h_J is a divisor's vector.  The vectors are
 read off maps of NP(I)'s vertices that move each bounded edge by a part
 of its lattice length (Shephard 1963), found by a depth-first search
-over the edges (_Dividend.divisors), so d >= 3 factorization is one
-finite search, whose cost follows the number of divisors, plus vector
+over the edges (_Dividend.divisors), so a d >= 3 factorization that no
+rule reads is one finite search, whose cost follows the number of divisors, plus vector
 arithmetic.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
 
@@ -34,9 +35,9 @@ here skip those checks where they are sorted antichains by proof: star
 and star_power close their raw points (pairwise sums, dilated
 generators; the closure reads only the points' hull, so none is
 minimalized) by newton._closure_of_points, _Dividend's divisors and
-cofactors are walks of I's facets by newton._lattice_ideal, a 2D
-closure or cofactor is read off its polygon's edges by
-newton._closed_from_edges, and _split_monomial's R is
+cofactors and a dilated simplex's atom are walks of facets by
+newton._lattice_ideal, a 2D closure, cofactor or atom is read off its
+polygon's edges by newton._closed_from_edges, and _split_monomial's R is
 normalize_translation's shift.  The primes (x_i)
 and closed_supersets' candidates keep the checks.
 """
@@ -54,8 +55,7 @@ from .ideals import (_Record, _check_dims, box_points, contains,
                      normalize_translation, ord_valuation, principal_ideal)
 from .newton import (_closed_2d, _closed_from_edges, _closure_of_points,
                      _descending_edges, _edge_facets, _facet_inequalities,
-                     _lattice_ideal, _vertex_slacks, convex_chain,
-                     is_integrally_closed)
+                     _lattice_ideal, _vertex_slacks, is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -63,7 +63,11 @@ DEFAULT_BUDGET = 500_000
 class SearchBudget:
     """One unit per map of a divisor search (a node of its depth-first
     search) and per divisor it yields; closed_supersets: per candidate;
-    decompose_2d: one unit per basis copy."""
+    decompose_2d: one unit per basis copy.  Atoms that a theorem reads off
+    (Zariski's edges in 2D, a dilated simplex's copies in any dimension)
+    are free when the monomial-free part is one atom or none, as are the
+    copies of each (x_i); a part of more than one atom costs one unit per
+    atom, each a spend(), so a budget it exceeds stops at limit + 1."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -141,8 +145,9 @@ def closed_supersets(I, budget=None):
 class _Dividend:
     """What a divisibility test reads of a closed ideal I: its facets
     c.x >= m, each vertex v of NP(I) with its slacks c.v - m, and its box.
-    divides reads it for d != 2 (a 2D divides compares Newton polygon
-    edges instead); the divisor search reads it in every dimension.
+    divides and the divisor search read it for d != 2 (2D divisibility
+    and factorization read Newton polygon edges instead); it is exact in
+    every dimension, and the tests check it on 2D ideals too.
 
     For any J, let h_J(c) be the least value of c on J and K the lattice
     points of {x >= 0 : c.x >= m - h_J(c)}.  Then J·K lies in NP(I), hence
@@ -154,9 +159,7 @@ class _Dividend:
     def __init__(self, I):
         self.facets = _facet_inequalities(I.gens, I.dim)
         self.box = generator_box(I)
-        # a 2D NP's vertices are its lower chain's corners
-        points = convex_chain(I.gens) if I.dim == 2 else I.gens
-        self.vertex_slacks = sorted(_vertex_slacks(points, self.facets).items())
+        self.vertex_slacks = sorted(_vertex_slacks(I.gens, self.facets).items())
 
     def support(self, J):
         """h_J on I's facet normals if J star-divides I, else None.
@@ -338,25 +341,62 @@ def _split_monomial(I):
             for i, e in enumerate(m) for _ in range(e)], R
 
 
+def _zariski(I):
+    """The copies of (x) and (y), and the descending edges, of a closed 2D
+    I, read once off its Newton polygon (newton._descending_edges), whose
+    closedness test takes its facets from the same reading (as divides).
+
+    I is its corner monomial x^a·y^b times, for each descending edge of
+    primitive step (a', b') and lattice length c, c copies of the atom
+    closure(x^a', y^b') (Zariski).  A Minkowski sum merges edges by slope,
+    so that product's NP is NP(I); a polygon whose one edge is primitive
+    has no lattice summands but itself and a point, so each is an atom."""
+    (x, y), edges = _descending_edges(I.gens)
+    if not _closed_2d(I.gens, _edge_facets((x, y), edges.items())):
+        raise NotIntegrallyClosedError("ideal must be integrally closed")
+    return ([principal_ideal((1, 0))] * x + [principal_ideal((0, 1))] * y,
+            edges)
+
+
+def _atom_power(R):
+    """A non-unit R with no monomial factor as count copies of one atom A,
+    (A, count), when a theorem reads it, else None.  ord is additive and
+    only the unit has ord 0, so ord(R) <= 1 is an atom.  Else let NP(R) have
+    exactly one facet c.x >= m with m > 0, with intercepts a_i = m / c_i
+    (c_i > 0) of gcd g.  The other facets are the coordinate ones, so
+    NP(R) = {x >= 0 : c.x >= m}, with vertices a_i·e_i.  A closed divisor
+    J has R's normals and no monomial factor (see _Dividend,
+    _split_monomial), so NP(J) = {x >= 0 : c.x >= t} = (t/m)·NP(R) for
+    some t <= m, and its vertices (t/m)·a_i·e_i are lattice points.  An
+    integer combination of the a_i is g, so t/m is a multiple of 1/g: J is
+    k copies of S, the lattice points of {x >= 0 : c.x >= m/g}, and R is g
+    copies of the atom S, its only factorization.  In two variables this
+    is Zariski's one-edge rule."""
+    if ord_valuation(R) <= 1:
+        return R, 1
+    (c, m), *rest = [f for f in _facet_inequalities(R.gens, R.dim) if f[1]]
+    if rest:
+        return None
+    g = gcd(*(m // a for a in c if a))
+    if g == 1:
+        return R, 1
+    t = m // g
+    return _lattice_ideal(((c, t),), tuple(t // a if a else 0 for a in c)), g
+
+
+def _spend_atoms(budget, count):
+    """The one charge of atoms read off by a theorem: none for a single
+    atom, else one unit per atom (see SearchBudget)."""
+    if count > 1:
+        for _ in range(count):
+            budget.spend()
+
+
 def _proper_split(R, budget):
     """A split (J, K) of a non-unit R with no monomial factor into
-    non-units, or None.  ord is additive and only the unit has ord 0, so
-    ord(R) <= 1 is an atom.  So is an R whose NP has exactly one facet
-    c.x >= m with m > 0, when its intercepts a_i = m / c_i (c_i > 0) have
-    gcd 1.  The other facets are the coordinate ones, so NP(R) = {x >= 0 :
-    c.x >= m}, with vertices a_i·e_i.  A closed divisor J has R's normals
-    and no monomial factor (see _Dividend, _split_monomial), so NP(J) =
-    {x >= 0 : c.x >= t} = (t/m)·NP(R) for some t <= m, and its vertices
-    (t/m)·a_i·e_i are lattice points.  An integer combination of the a_i
-    is 1, so t/m is an integer: J is the unit or R.  In two variables this
-    is Zariski's one-edge rule.  A simplex with gcd > 1, x^2,xy,y^2 among
-    them, and every other R take the first proper divisor the search
-    finds."""
-    if ord_valuation(R) <= 1:
-        return None
-    (c, m), *rest = [f for f in _facet_inequalities(R.gens, R.dim) if f[1]]
-    if not rest and gcd(*(m // a for a in c if a)) == 1:
-        return None
+    non-units, the first proper divisor the divisor search yields, or None
+    when there is none.  Only an R that _atom_power cannot read comes here,
+    and only in d >= 3."""
     dividend = _Dividend(R)
     whole = tuple(m for _, m in dividend.facets)
     for h in dividend.divisors(budget):
@@ -400,16 +440,28 @@ def divides(I, J, budget=DEFAULT_BUDGET):
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """No pair of non-unit closed ideals star-multiplies to I.  An I with a
-    monomial factor is an atom iff it is some (x_i); else the answer is
-    _proper_split's, exhaustive over the finite divisor search unless the
-    ord or simplex rule needs none."""
+    monomial factor is an atom iff it is some (x_i).  In 2D the rest is
+    read off the counts of Zariski's factorization, one atom in all; in
+    other dimensions it is _atom_power's count when that reads one, else
+    _proper_split's, exhaustive over the finite divisor search."""
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
-    _require_closed(I)
-    variables, R = _split_monomial(I)
-    if variables:
-        return variables == [I]
-    return _proper_split(R, _as_budget(budget)) is None
+    budget = _as_budget(budget)
+    if I.dim == 2:
+        variables, edges = _zariski(I)
+        count = sum(edges.values())
+    else:
+        _require_closed(I)
+        variables, R = _split_monomial(I)
+        if variables:
+            return variables == [I]
+        read = _atom_power(R)
+        if read is None:
+            return _proper_split(R, budget) is None
+        count = read[1]
+    if not variables:
+        _spend_atoms(budget, count)
+    return len(variables) + count == 1
 
 
 class Factorization(_Record):
@@ -427,20 +479,35 @@ class Factorization(_Record):
 def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
-    Deterministic: the copies of each (x_i) that _split_monomial splits
-    off once, then _proper_split's splits of the rest from a work list,
-    each the first proper divisor that _Dividend.divisors yields.  A
-    divisor of a monomial-free ideal is monomial-free, and ord is additive,
-    so every split leads to atoms.
+    In 2D it is Zariski's, read off the Newton polygon (_zariski).  In
+    other dimensions: the copies of each (x_i) that _split_monomial splits
+    off once, then R's pieces from a work list, each read by _atom_power
+    when it can be, else split at the first proper divisor that
+    _Dividend.divisors yields.  A divisor of a monomial-free ideal is
+    monomial-free, and ord is additive, so every split leads to atoms.
+    Deterministic either way.
     """
     if I.is_unit:
         raise ValueError("the unit ideal has no atomic factorization")
-    _require_closed(I)
     budget = _as_budget(budget)
-    atoms, R = _split_monomial(I)
-    pending = [] if R.is_unit else [R]
+    if I.dim == 2:
+        atoms, edges = _zariski(I)
+        _spend_atoms(budget, sum(edges.values()))
+        for e, c in edges.items():
+            atoms += [_closed_from_edges((0, 0), [(e, 1)])] * c
+        pending = []
+    else:
+        _require_closed(I)
+        atoms, R = _split_monomial(I)
+        pending = [] if R.is_unit else [R]
     while pending:
         current = pending.pop()
+        read = _atom_power(current)
+        if read is not None:
+            A, count = read
+            _spend_atoms(budget, count)
+            atoms += [A] * count
+            continue
         split = _proper_split(current, budget)  # None for an atom
         if split is None:
             atoms.append(current)
@@ -452,15 +519,18 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
 
 def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
-    In d <= 2 it is unique (Zariski), and it is when I is a monomial:
-    factor_atoms' answer.  Else I = x^m·R (_split_monomial), one divisor
-    search runs on R and its answers are factored as support vectors
+    In d <= 2 it is unique (Zariski), and it is when I = x^m·R
+    (_split_monomial) has R the unit or a power of one atom (_atom_power):
+    factor_atoms' answer.  Else one divisor search runs on R and its
+    answers are factored as support vectors
     (module docstring), the zero vector being the unit's: an atom's
     vector is no sum of two nonzero divisors' vectors, and a factorization
     of R is a multiset of atom vectors summing to h_R, each partial sum of
     which is a divisor's vector."""
+    if I.dim == 2:
+        return {factor_atoms(I, budget).atoms}
     variables, R = _split_monomial(I)
-    if I.dim <= 2 or R.is_unit:
+    if R.is_unit or _atom_power(R) is not None:
         return {factor_atoms(I, budget).atoms}
     _require_closed(I)
     dividend = _Dividend(R)

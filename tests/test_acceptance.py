@@ -97,9 +97,10 @@ def test_criterion_4_m_not_prime():
 
 
 def test_criterion_5_zariski_uniqueness_2d():
-    # the library reads 2D uniqueness and one-edge atoms off Zariski's
-    # theorem, and 2D composites still search; an exhaustive search that
-    # knows no theorem checks atoms and uniqueness on every ideal
+    # the library reads every 2D factorization off Zariski's theorem,
+    # the Newton polygon's corner and edges, with no search; an
+    # exhaustive search that knows no theorem checks atoms and
+    # uniqueness on every ideal
     bad = []
     for I in closed_ideals_in_box(5):
         if I.is_unit:

@@ -287,8 +287,9 @@ class TestExitCodes:
         assert int(out["examined"]) >= 1
 
     def test_budget_of_one_stops_the_first_split(self, capsys):
-        # the divisor search's first map places one vertex of NP(x^2, xy,
-        # y^2), and its second, a step on the one edge, is past the budget
+        # (x^2, xy, y^2) is two copies of (x, y), read off the one edge of
+        # its Newton polygon at one unit each, so the second is past the
+        # budget
         code, out = run(capsys, "--budget", "1", "factor", "x^2,x*y,y^2")
         assert (code, out["error"], out["examined"]) == (
             3, "search budget of 1 exceeded", "2")

@@ -19,7 +19,7 @@ from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
                         is_star_irreducible, quotient_cancel, star,
                         star_power)
 from icm.newton import (_descending_edges, _facet_inequalities,
-                        _vertex_slacks, integral_closure,
+                        convex_chain, integral_closure,
                         is_integrally_closed)
 from icm.parsing import parse_ideal
 from icm.polytopes import colon_factorization_2d
@@ -332,7 +332,7 @@ class TestIrreducible:
 
     def test_2d_atom_needs_no_search(self):
         # one Newton polygon edge from (0, b) to (a, 0): an atom iff
-        # gcd(a, b) = 1, so only the gcd-2 ideal still searches
+        # gcd(a, b) = 1; the gcd-2 ideal is two atoms, one unit each
         assert is_star_irreducible(integral_closure(ideal((5, 0), (0, 4))),
                                    budget=SearchBudget(0))
         with pytest.raises(BudgetExceededError):
@@ -342,7 +342,8 @@ class TestIrreducible:
     def test_simplex_atoms_need_no_search(self):
         # NP(closure(x^a, y^b, z^c)) has one facet off the coordinate
         # hyperplanes, so it is an atom when ord <= 1 or gcd(a, b, c) = 1;
-        # only the gcd > 1 simplices search, against the exhaustive oracle
+        # a gcd g > 1 simplex is g atoms, one unit each, and the answers
+        # agree with the exhaustive oracle
         for a, b, c in iproduct(range(1, 4), repeat=3):
             I = integral_closure(ideal((a, 0, 0), (0, b, 0), (0, 0, c)))
             expected = irreducible_by_search(I)
@@ -359,8 +360,9 @@ class TestIrreducible:
         assert is_star_irreducible(I, budget=SearchBudget(0))
 
     def test_budget_exceeded_is_distinct(self):
-        # a budget of one covers only the search's first map, which
-        # places the first vertex alone, so it stops before any divisor
+        # (x^9, xy, y^9) is two atoms, closure(x, y^8) and closure(x^8,
+        # y), read off its two edges at one unit each, so a budget of one
+        # stops at the second
         with pytest.raises(BudgetExceededError):
             is_star_irreducible(ideal((9, 0), (1, 1), (0, 9)),
                                 budget=SearchBudget(1))
@@ -548,6 +550,130 @@ class TestAllFactorizations:
             assert prod == I
 
 
+def no_search(monkeypatch):
+    """Make the divisor search raise, so a query that reaches it fails."""
+    def boom(*args):
+        raise AssertionError("the divisor search ran")
+    monkeypatch.setattr(monoid, "_Dividend", boom)
+    monkeypatch.setattr(monoid, "_proper_split", boom)
+
+
+def fold(atoms, dim):
+    prod = unit_ideal(dim)
+    for A in atoms:
+        prod = star(prod, A)
+    return prod
+
+
+class TestZariski2d:
+    """A closed 2D ideal is its corner monomial times, per descending edge
+    of primitive step (a, b) and lattice length c of its Newton polygon, c
+    copies of closure(x^a, y^b); the three factorization queries read it
+    off the polygon and never reach the divisor search."""
+
+    def test_no_search_seeded(self, monkeypatch):
+        # edges up to 40, from a point on each axis and up to three more,
+        # every other ideal times x^i·y^j (i, j <= 3, not both 0); the
+        # ideals in box (5, 5) against the exhaustive search, the others
+        # by their star fold
+        no_search(monkeypatch)
+        rng = random.Random(31)
+        searched = folded = 0
+        for n in range(500):
+            top = 5 if n % 2 else 40
+            pts = [(0, rng.randint(1, top)), (rng.randint(1, top), 0)] + [
+                (rng.randint(1, top), rng.randint(1, top))
+                for _ in range(rng.randint(0, 3))]
+            i, j = rng.choice([(p, q) for p in range(4) for q in range(4)
+                               if p or q]) if n % 4 > 1 else (0, 0)
+            I = integral_closure(minimalize(
+                [(a + i, b + j) for a, b in pts], 2))
+            budget = SearchBudget(None)
+            atoms = factor_atoms(I, budget=budget).atoms
+            assert all_factorizations(I) == {atoms}, I
+            assert is_star_irreducible(I) == (len(atoms) == 1), I
+            # one unit per atom off the axes, when there are two or more
+            rest = sum(len(A.gens) > 1 for A in atoms)
+            assert budget.examined == (rest if rest > 1 else 0), I
+            if max(map(max, I.gens)) <= 5:
+                assert factorizations_by_search(I) == {atoms}, I
+                searched += 1
+                continue
+            for A in atoms:
+                a, b = map(max, zip(*A.gens))
+                assert A.gens in (((0, 1),), ((1, 0),)) or (
+                    gcd(a, b) == 1
+                    and A == integral_closure(ideal((a, 0), (0, b)))), A
+            assert fold(atoms, 2) == I
+            folded += 1
+        assert searched > 150 and folded > 250
+
+    def test_thousand_atoms(self):
+        I = integral_closure(ideal((1000, 0), (0, 1000)))
+        budget = SearchBudget(None)
+        assert factor_atoms(I, budget=budget).atoms == (M2,) * 1000
+        assert budget.examined == 1000
+        budget = SearchBudget(999)
+        with pytest.raises(BudgetExceededError):
+            factor_atoms(I, budget=budget)
+        assert budget.examined == 1000
+
+    @pytest.mark.parametrize("fn", [
+        is_star_irreducible, factor_atoms, all_factorizations],
+        ids=lambda fn: fn.__name__)
+    def test_non_closed_raises(self, fn, monkeypatch):
+        no_search(monkeypatch)
+        rng = random.Random(47)
+        raised = 0
+        for _ in range(200):
+            I = minimalize([(rng.randint(0, 12), rng.randint(0, 12))
+                            for _ in range(rng.randint(2, 5))], 2)
+            if is_integrally_closed(I):
+                continue
+            budget = SearchBudget(None)
+            with pytest.raises(NotIntegrallyClosedError,
+                               match="ideal must be integrally closed"):
+                fn(I, budget=budget)
+            assert budget.examined == 0
+            raised += 1
+        assert raised > 50
+
+
+class TestDilatedSimplex:
+    """NP(R) = {x >= 0 : c.x >= m} whose intercepts have gcd g is g copies
+    of the simplex {x >= 0 : c.x >= m/g}, R's only factorization."""
+
+    @pytest.mark.parametrize("corner, g, shift", [
+        ((2, 2, 2), 2, (0, 0, 0)), ((2, 4, 4), 2, (0, 0, 0)),
+        ((3, 3, 6), 3, (0, 0, 0)), ((4, 4, 2), 2, (1, 0, 2)),
+        ((100, 100, 100), 100, (0, 0, 0)), ((6, 9, 3, 12), 3, (0, 0, 0, 0)),
+        ((2, 2, 2, 2), 2, (0, 1, 0, 0))],
+        ids=["2,2,2", "2,4,4", "3,3,6", "x*z^2*(4,4,2)", "100,100,100",
+             "6,9,3,12", "y*(2,2,2,2)"])
+    def test_read_without_search(self, corner, g, shift, monkeypatch):
+        dim = len(corner)
+        axes = [tuple(a * (i == j) for j in range(dim))
+                for i, a in enumerate(corner)]
+        S = integral_closure(ideal(*[[x // g for x in p] for p in axes]))
+        I = integral_closure(ideal(*[[x + t for x, t in zip(p, shift)]
+                                     for p in axes]))
+        variables = tuple(ideal(*[[int(i == j) for j in range(dim)]])
+                          for i, t in enumerate(shift) for _ in range(t))
+        expected = tuple(sorted(variables + (S,) * g, key=lambda a: a.gens))
+        small = dim == 3 and max(map(sum, I.gens)) <= 4
+        oracle = factorizations_by_search(I) if small else None
+        no_search(monkeypatch)
+        budget = SearchBudget(None)
+        assert factor_atoms(I, budget=budget).atoms == expected
+        assert budget.examined == g
+        assert all_factorizations(I) == {expected}
+        assert not is_star_irreducible(I)
+        with pytest.raises(BudgetExceededError):
+            factor_atoms(I, budget=SearchBudget(g - 1))
+        if small:
+            assert oracle == {expected}
+
+
 def by_gens(pair):
     return tuple(J.gens for J in pair)
 
@@ -609,8 +735,8 @@ class TestDivisorPairs:
         assert nodes <= most < points
 
     def test_2d_vertices_off_the_chain(self):
-        # a 2D dividend reads NP(I)'s vertices off its lower convex chain;
-        # every generator's slacks give the same vertices and slacks
+        # a 2D dividend reads NP(I)'s vertices off every generator's
+        # slacks; they are the corners of its lower convex chain
         rng = random.Random(64)
         for _ in range(500):
             top = rng.choice([3, 6, 12, 40])
@@ -618,8 +744,8 @@ class TestDivisorPairs:
                 [(rng.randint(0, top), rng.randint(0, top))
                  for _ in range(rng.randint(1, 5))], 2))
             dividend = _Dividend(I)
-            assert dividend.vertex_slacks == sorted(
-                _vertex_slacks(I.gens, dividend.facets).items()), I
+            assert [v for v, _ in dividend.vertex_slacks] == convex_chain(
+                I.gens), I
 
 
 def least(J, c):
@@ -708,7 +834,7 @@ class TestBudgetIgnoresHistory:
 
     @pytest.mark.parametrize("fn, I, limit", [
         (is_star_irreducible, M2SQ, 1),
-        (all_factorizations, ideal((3, 0), (1, 1), (0, 3)), 2),
+        (all_factorizations, ideal((3, 0), (1, 1), (0, 3)), 1),
         (all_factorizations, star(ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)),
                                   ideal((2, 0, 0), (0, 1, 0), (0, 0, 1))), 2),
     ], ids=["is_star_irreducible", "all_factorizations",
