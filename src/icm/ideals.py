@@ -183,16 +183,19 @@ def staircase(axes, k, line):
     of its minimal points lie on the given sorted axes.  The columns u
     (all axes but k) go in lines along the last of them, the lines in lex
     order of their prefix (the columns' other coordinates), and
-    line(prefix) lists own(u), the least x_k of a point in column u or
-    inf, for each u on the line.  With top(u) = min(own(u), top(u - e_j)),
-    u - e_j one axis value back, (u, own(u)) is minimal iff own(u) <
-    top(u - e_j) for every j.  A line's tops are the min of its own and
-    the tops of the lines one step back on each prefix axis, run through
-    a running min; those lines lie at most one slab (one first
-    coordinate) back, so only a ring of one slab of lines is held.  A
-    line's minimal points are yielded together, so a caller that stops at
-    one stops asking for lines.  With d = 1 there is one line, of the one
-    column ()."""
+    line(prefix) must list own(u), the least x_k of a point of the
+    up-set in column u or inf, for each u on the line.  The set is an
+    up-set, so own(u) <= own(u - e_j) for every j, u - e_j one axis value
+    back: a line is non-increasing along itself and at most each line one
+    step back on a prefix axis.  So own(u) is also the least x_k over all
+    columns at or below u, which a running min would compute, and (u,
+    own(u)) is minimal iff own(u) < own(u - e_j) for every j: below the
+    least of the lines one step back at u, and below u's predecessor on
+    its line.  Those lines lie at most one slab (one first coordinate)
+    back, so only a ring of one slab of lines is held.  A line's minimal
+    points are yielded together, so a caller that stops at one stops
+    asking for lines.  With d = 1 there is one line, of the one column
+    ()."""
     cols = axes[:k] + axes[k + 1:]
     outer, ends = cols[:-1], list(iter_product(*cols[-1:]))
     strides = [prod(map(len, outer[j + 1:])) for j in range(len(outer))]
@@ -205,13 +208,11 @@ def staircase(axes, k, line):
                 below = [a if a < b else b
                          for a, b in zip(below, ring[(n - s) % size])]
         prefix = tuple(x for _, x in cell)
-        top = inf
-        tops = [top := (t if t < top else top) if t < b else
-                (b if b < top else top) for t, b in zip(line(prefix), below)]
+        own = line(prefix)
         yield from [u[:k] + (t,) + u[k:] for end, t, b, p
-                    in zip(ends, tops, below, [inf] + tops)
+                    in zip(ends, own, below, [inf] + own)
                     if t < b and t < p for u in [prefix + end]]
-        ring[n % size] = tops
+        ring[n % size] = own
 
 
 def colon(I, J):
@@ -224,8 +225,8 @@ def colon(I, J):
     ideals.  A line costs |I|*|J| plus |J| passes over it, not the
     generator box."""
     _check_dims(I, J)
-    shifted = [{tuple(max(a - b, 0) for a, b in zip(h, g)) for h in I.gens}
-               for g in J.gens]
+    shifted = [[tuple([a - b if a > b else 0 for a, b in zip(h, g)])
+                for h in I.gens] for g in J.gens]
     axes = [sorted({s[j] for part in shifted for s in part})
             for j in range(I.dim)]
     k = max(range(I.dim), key=lambda j: len(axes[j]))
@@ -240,7 +241,7 @@ def colon(I, J):
         for part in parts:
             own = [inf] * len(at)
             for q, i, t in part:
-                if t < own[i] and dominates(prefix, q):
+                if t < own[i] and all(map(ge, prefix, q)):
                     own[i] = t
             top = inf
             low = [v if v >= (top := t if t < top else top) else top

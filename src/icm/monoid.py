@@ -10,7 +10,8 @@ are its own dilates, so R is g copies of the atom S: Zariski's one-edge
 rule, in any dimension (_atom_power).  NP(I^n) = n·NP(I), so a star
 power is one closure (star_power).  In two variables a Newton polygon
 is its corner and its descending edges counted by lattice length, and a
-Minkowski sum adds both.  So I's one factorization (Zariski) is read
+Minkowski sum adds both.  So a star or star power is built from the
+summed or scaled reading (star), I's one factorization (Zariski) is read
 off that reading, the corner's copies of (x) and (y) and c copies of
 closure(x^a, y^b) per edge of step (a, b) and length c (_zariski), and
 divisibility and the cofactor are a comparison and a difference of two
@@ -31,14 +32,14 @@ arithmetic.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
 
 Inputs are checked where they enter, by MonomialIdeal.  The ideals built
-here skip those checks where they are sorted antichains by proof: star
-and star_power close their raw points (pairwise sums, dilated
-generators; the closure reads only the points' hull, so none is
+here skip those checks where they are sorted antichains by proof: in
+d >= 3 star and star_power close their raw points (pairwise sums,
+dilated generators; the closure reads only the points' hull, so none is
 minimalized) by newton._closure_of_points, _Dividend's divisors and
 cofactors and a dilated simplex's atom are walks of facets by
-newton._lattice_ideal, a 2D closure, cofactor or atom is read off its
-polygon's edges by newton._closed_from_edges, and _split_monomial's R is
-normalize_translation's shift.  The primes (x_i)
+newton._lattice_ideal, a 2D star, star power, closure, cofactor or atom
+is read off its polygon's edges by newton._closed_from_edges, and
+_split_monomial's R is normalize_translation's shift.  The primes (x_i)
 and closed_supersets' candidates keep the checks.
 """
 
@@ -53,9 +54,10 @@ from .errors import (BudgetExceededError, NotIntegrallyClosedError,
 from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
-from .newton import (_closed_2d, _closed_from_edges, _closure_of_points,
-                     _descending_edges, _edge_facets, _facet_inequalities,
-                     _lattice_ideal, _vertex_slacks, is_integrally_closed)
+from .newton import (_closed_2d, _closed_from_counts, _closed_from_edges,
+                     _closure_of_points, _descending_edges, _edge_facets,
+                     _facet_inequalities, _lattice_ideal, _vertex_slacks,
+                     is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -87,10 +89,17 @@ def _as_budget(budget):
 
 def star(I, J):
     """The monoid operation: integral closure of the product.  The
-    closure reads only NP(IJ) = NP(I) + NP(J), which the pairwise sums of
-    the generators support, so the sums are closed as they are: no
-    product is formed and none is minimalized."""
+    closure reads only NP(IJ) = NP(I) + NP(J).  In two variables that sum
+    adds the operands' corners and merges their descending edges by
+    slope, so the star is built from the summed corner and edge Counter
+    (newton._closed_from_counts), with no pairwise sum formed.  Other
+    dimensions close the pairwise sums of the generators, which support
+    the sum, as they are: no product is formed and none is minimalized."""
     _check_dims(I, J)
+    if I.dim == 2:
+        (ix, iy), edges = _descending_edges(I.gens)
+        (jx, jy), more = _descending_edges(J.gens)
+        return _closed_from_counts((ix + jx, iy + jy), edges + more)
     return _closure_of_points(
         {tuple(map(add, g, h)) for g in I.gens for h in J.gens}, I.dim)
 
@@ -99,10 +108,16 @@ def star_power(I, n):
     """I star-multiplied by itself n times; the monoid has no inverses.
 
     NP(J*K) = NP(J) + NP(K), and P + ... + P = n·P for a convex P, so
-    NP(I^n) = n·NP(I) = conv(n·g for g in I's generators) + R^d_+: the
-    closure of the n-th powers of the generators, the unit at n = 0."""
+    NP(I^n) = n·NP(I).  In two variables that is n times I's corner and
+    each edge's length (newton._closed_from_counts); other dimensions close
+    n·NP(I) = conv(n·g for g in I's generators) + R^d_+, the n-th powers
+    of the generators.  Either way n = 0 gives the unit."""
     if n < 0:
         raise ValueError("the monoid has no inverses, so n must be >= 0")
+    if I.dim == 2:
+        (x, y), edges = _descending_edges(I.gens)
+        return _closed_from_counts((n * x, n * y),
+                                   {e: n * c for e, c in edges.items()})
     return _closure_of_points(
         {tuple(n * a for a in g) for g in I.gens}, I.dim)
 

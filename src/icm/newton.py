@@ -10,17 +10,19 @@ they come from the double description method, fed the points extreme
 first.  Vertices and equality are read off the facets, so no LP runs.  A
 2D polygon is also its corner and its descending edges counted by
 lattice length (_descending_edges), and every 2D closure (of an ideal or
-of a raw point set such as star's pairwise sums) is built from that
-reading alone by _closed_from_edges, as is a colon factorization's
-product from its counted factors; the generators, one per column or row
-of an edge, are a sorted antichain by proof, and no facet is built and
-no box is walked.  In other dimensions integral closure is a staircase
-walk of a box, one line of columns at a time, that reads the line's
-lowest points of NP off the facets with m > 0 and yields the minimal
-generators alone; they are a sorted
-antichain by the walk's proof, so every such closure (of an ideal, of a
-raw point set, of a divisor's facets) is built by _lattice_ideal and
-skips MonomialIdeal's checks.  Closedness walks the box only for d != 2:
+of a raw point set) is built from that reading alone by
+_closed_from_edges.  A Minkowski sum adds corners and edge Counters, so
+a 2D star, star power or colon factorization's product is built from
+its summed reading, sorted steepest first by _closed_from_counts, with
+no point sum formed; the generators, one per column or row of an edge,
+are a sorted antichain by proof, and no facet is built and no box is
+walked.  In other dimensions integral closure is a staircase walk of a
+box, one line of columns at a time, that reads the line's lowest points
+of NP off the facets with m > 0 and yields the minimal generators alone;
+they are a sorted antichain by the walk's proof, so every such closure
+(of an ideal, of a raw point set such as a d >= 3 star's pairwise sums,
+of a divisor's facets) is built by _lattice_ideal and skips
+MonomialIdeal's checks.  Closedness walks the box only for d != 2:
 a 2D ideal is closed iff its box complement's inner corners lie outside
 NP, a test of each on the facets.  The edge reading also gives the 2D
 facets (_edge_facets), which monoid.divides reads once, for its
@@ -32,7 +34,7 @@ rank test of each facet.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import product as iter_product
 from math import gcd, inf, lcm
 from operator import mul
@@ -181,13 +183,16 @@ def _double_description(pts, dim):
     The valid inequalities form the cone {(c, t): c >= 0, c.p + t >= 0 for
     every point}, with t = -m; its extreme rays are the facets and the
     trivial ray (0, 1).  The axes and the first point cut out a simplicial
-    cone; each further point cuts it by one half-space.  Rays on the
-    nonnegative side stay, and each adjacent pair across the cut gives a
-    new ray on it.  A ray's zero set, a bitmask over the constraints so
-    far, decides adjacency: two rays are adjacent when their common zero
-    set has at least d - 1 bits and no third ray's zero set contains it.
-    Distinct extreme rays have distinct zero sets, so a third ray is one
-    whose zero set differs from both.
+    cone; each further point cuts it by one half-space, and one pass sorts
+    the rays by the sign of their value (c, t).(p, 1) there.  Rays on the
+    nonnegative side stay, those on the cut taking its bit, and each
+    adjacent pair across the cut gives a new ray on it; a point that makes
+    no ray negative cuts nothing, so it pairs none.  A ray's zero set, a
+    bitmask over the constraints so far, decides adjacency: two rays are
+    adjacent when their common zero set has at least d - 1 bits and no
+    third ray's zero set contains it.  Distinct extreme rays have distinct
+    zero sets, so the two rays' own are the only ones that contain it iff
+    the count of those that do stops at two.
     """
     axes = (1 << dim) - 1
     rays = [(tuple(int(i == j) for i in range(dim)) + (-pts[0][j],),
@@ -195,17 +200,34 @@ def _double_description(pts, dim):
     rays.append(((0,) * dim + (1,), axes))
     for i, p in enumerate(pts[1:], dim + 1):
         bit = 1 << i
-        cut = [(r, z, sum(a * b for a, b in zip(r, p)) + r[-1])
-               for r, z in rays]
-        rays = [(r, z | bit if v == 0 else z) for r, z, v in cut if v >= 0]
-        zeros = [z for _, z, _ in cut]
-        neg = [ray for ray in cut if ray[2] < 0]
-        for r1, z1, v1 in (ray for ray in cut if ray[2] > 0):
+        q = p + (1,)
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = sum(map(mul, r, q))
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        if not neg:
+            rays = kept
+            continue
+        zeros = [z for _, z in rays]
+        rays = kept
+        for r1, z1, v1 in pos:
             for r2, z2, v2 in neg:
                 common = z1 & z2
-                if (common.bit_count() >= dim - 1 and not any(
-                        z & common == common for z in zeros
-                        if z != z1 and z != z2)):
+                if common.bit_count() < dim - 1:
+                    continue
+                n = 0  # z1 and z2 hold common; a third means not adjacent
+                for z in zeros:
+                    if z & common == common:
+                        n += 1
+                        if n > 2:
+                            break
+                else:
                     r = tuple(v1 * b - v2 * a for a, b in zip(r1, r2))
                     g = gcd(*r)
                     rays.append((tuple(x // g for x in r), common | bit))
@@ -280,8 +302,9 @@ def integral_closure(I):
 
 
 def _closure_of_points(points, dim):
-    """Closure of the ideal that the points generate, such as star's
-    pairwise sums: NP reads only their hull, so no minimalizing pass runs.
+    """Closure of the ideal that the points generate, such as a d >= 3
+    star's pairwise sums: NP reads only their hull, so no minimalizing
+    pass runs.
     In 2D it is built from the polygon's corner and descending edges, with
     no facets and no walk.  Other dimensions walk the points' box, which
     holds the box of their minimal points, so the walk misses no
@@ -314,6 +337,21 @@ def _closed_from_edges(corner, edges):
             gens += [(x - (-j * a // b), y - j) for j in range(1, b * c + 1)]
         x, y = x + a * c, y - b * c
     return _sorted_antichain(2, tuple(gens))
+
+
+# orders descending edges ((a, b), c) steepest first: b/a > b'/a' iff
+# a*b' < a'*b; a Counter's distinct primitive steps never compare equal
+_STEEPEST_FIRST = cmp_to_key(
+    lambda e, f: e[0][0] * f[0][1] - f[0][0] * e[0][1])
+
+
+def _closed_from_counts(corner, edges):
+    """_closed_from_edges of the corner and a Counter (or any mapping) of
+    descending edges, primitive steps (a, b) to lattice lengths in any
+    order, such as a Minkowski sum's, whose Counter is the sum of its
+    summands': the steps are sorted steepest first."""
+    return _closed_from_edges(corner,
+                              sorted(edges.items(), key=_STEEPEST_FIRST))
 
 
 def _closed_2d(gens, facets):

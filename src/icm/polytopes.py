@@ -15,14 +15,13 @@ upper chains vertex by vertex in edge-angle order.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cmp_to_key
 from math import gcd
 
 from .errors import DimensionMismatchError
 from .ideals import (_Record, _check_dims, _check_points, minimalize,
                      normalize_translation, unit_ideal)
 from .monoid import _as_budget, _require_closed, star
-from .newton import (NewtonPolyhedron, _closed_from_edges,
+from .newton import (NewtonPolyhedron, _closed_from_counts,
                      _descending_edges, convex_chain, integral_closure,
                      vertices)
 
@@ -414,10 +413,8 @@ class ColonFactorization(_Record):
         of such polygons has the segments for edges, steepest first, from
         the corner num_monomial, so the counted factors are its descending
         edges and the answer is built from them: no product is formed."""
-        edges = sorted(Counter(self.num_factors).items(),
-                       key=cmp_to_key(lambda e, f: e[0][0] * f[0][1]
-                                      - f[0][0] * e[0][1]))
-        return _closed_from_edges(self.num_monomial, edges)
+        return _closed_from_counts(self.num_monomial,
+                                   Counter(self.num_factors))
 
 
 def colon_factorization_2d(I):

@@ -3,6 +3,7 @@ import re
 from ast import literal_eval
 from itertools import product as iproduct
 from math import inf
+from operator import ge, le
 
 import pytest
 
@@ -191,7 +192,10 @@ class TestStaircase:
         """Seeded up-sets of random points, walked along every axis k:
         each line is computed brute force, column by column, and the walk
         yields the oracle's minimal points.  Axes of equal length tie, and
-        k = dim - 1 walks the last axis, so the lines run along dim - 2."""
+        k = dim - 1 walks the last axis, so the lines run along dim - 2.
+        The exact lines also meet staircase's contract: each is
+        non-increasing along itself and at most, elementwise, each line one
+        axis value back on a prefix axis."""
         rng = random.Random(600 + dim)
         for _ in range(60):
             top = rng.choice([1, 3, 6])
@@ -200,17 +204,29 @@ class TestStaircase:
             axes = [sorted({p[j] for p in pts}) for j in range(dim)]
             for k in range(dim):
                 cols = axes[:k] + axes[k + 1:]
+                lines = {}
 
-                def line(prefix, k=k, cols=cols):
-                    return [min((p[k] for p in pts
-                                 if all(a >= b for a, b in zip(
-                                     prefix + end, p[:k] + p[k + 1:]))),
-                                default=inf)
-                            for end in iproduct(*cols[-1:])]
+                def line(prefix, k=k, cols=cols, lines=lines):
+                    lines[prefix] = [
+                        min((p[k] for p in pts
+                             if all(a >= b for a, b in zip(
+                                 prefix + end, p[:k] + p[k + 1:]))),
+                            default=inf)
+                        for end in iproduct(*cols[-1:])]
+                    return lines[prefix]
 
                 walked = sorted(staircase(axes, k, line))
                 assert walked == list(minimal_by_pairs(pts, dim).gens), (
                     pts, k)
+                for prefix, own in lines.items():
+                    assert all(map(ge, own, own[1:])), (pts, k, prefix)
+                    for j, x in enumerate(prefix):
+                        i = cols[j].index(x)
+                        if i:
+                            back = prefix[:j] + (cols[j][i - 1],) + prefix[
+                                j + 1:]
+                            assert all(map(le, own, lines[back])), (
+                                pts, k, prefix, j)
 
     def test_closed_check_stops_at_the_first_line_with_a_new_generator(
             self, monkeypatch):

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from itertools import product as iproduct
 from math import gcd
-from operator import gt, lt
+from operator import add, gt, lt
 
 import pytest
 
@@ -89,6 +89,79 @@ class TestStar:
             S = star(I, J)
             assert S == integral_closure(product(I, J)), (I, J)
             assert S == closure_lp(product(I, J)), (I, J)
+
+    @staticmethod
+    def _seeded_2d(rng, top):
+        """A 2D ideal of one of five kinds: random generators (often not
+        closed), their closure, a closure times a monomial, the unit, or
+        the closure of a chain whose steps come from a few shared slopes,
+        so that two operands often share an edge's slope."""
+        kind = rng.randrange(5)
+        if kind == 3:
+            return unit_ideal(2)
+        if kind == 4:
+            x, y, points = 0, 0, [(0, 0)]
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (3, 2)])
+                c = rng.randint(1, 3)
+                x, y = x + a * c, y + b * c
+                points.append((x, -y))
+            shift = y + rng.randint(0, 3), rng.randint(0, 3)
+            return integral_closure(minimal_by_pairs(
+                [(px + shift[1], py + shift[0]) for px, py in points], 2))
+        I = minimal_by_pairs(
+            [(rng.randint(0, top), rng.randint(0, top))
+             for _ in range(rng.randint(1, 5))], 2)
+        if kind == 0:
+            return I
+        I = integral_closure(I)
+        if kind == 2:
+            m = rng.randint(1, 5), rng.randint(1, 5)
+            I = MonomialIdeal(2, tuple(tuple(map(add, g, m))
+                                       for g in I.gens))
+        return I
+
+    def test_2d_seeded_against_product_closure(self):
+        # a 2D star adds corners and edge Counters; the oracle closes the
+        # minimalized product of the generators
+        rng = random.Random(3200)
+        for _ in range(500):
+            I, J = self._seeded_2d(rng, 40), self._seeded_2d(rng, 40)
+            assert star(I, J) == integral_closure(product(I, J)), (I, J)
+
+    def test_2d_power_is_the_folded_star_seeded(self):
+        # star_power scales the corner and every edge count by n; the
+        # oracles fold star and close the n-fold product
+        rng = random.Random(3201)
+        for _ in range(100):
+            I = self._seeded_2d(rng, 12)
+            folded, power = unit_ideal(2), unit_ideal(2)
+            for n in range(5):
+                assert star_power(I, n) == folded, (I, n)
+                assert folded == integral_closure(power), (I, n)
+                folded, power = star(folded, I), product(power, I)
+
+    def test_2d_forms_no_pairwise_sums(self, monkeypatch):
+        # a 2D star or star power never reaches the closure of raw points,
+        # so it costs the generators it returns: the ROADMAP's star(A, B)
+        # of two 1,001-generator ideals answers with the point closure
+        # patched to raise
+        A0 = parse_ideal("x^3000,y^1000")
+        B0 = parse_ideal("x^2000,x^700*y^300,y^2500")
+        A, B = integral_closure(A0), integral_closure(B0)
+        expected = integral_closure(product(A0, B0))
+        I = ideal((4, 0), (1, 1), (0, 3))
+
+        def forbidden(*args):
+            raise AssertionError("pairwise sums closed")
+
+        monkeypatch.setattr(monoid, "_closure_of_points", forbidden)
+        assert star(A, B) == expected
+        assert len(expected.gens) == 2001
+        assert star(I, M2) == ideal((5, 0), (2, 1), (1, 2), (0, 4))
+        assert star_power(I, 3) == star(star(I, I), I)
+        assert star_power(A, 0) == unit_ideal(2)
+        assert star_power(A, 2) == star(A, A)
 
     def test_retained_memory_stops_growing(self):
         # 3D closure and star build their facets through one cache,

@@ -1,6 +1,8 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product as iproduct
+from operator import mul
 
 import pytest
 
@@ -145,6 +147,39 @@ class TestFacetInequalities:
                 P = NewtonPolyhedron(dim, tuple(pts))
                 for q in probe_points(rng, pts):
                     assert member(P, q) == member_lp(pts, q), (pts, q)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_tie_heavy_against_oracles(self, dim):
+        """Point sets where most points cut no ray of the double
+        description: the lattice points of a dilated simplex (a layer
+        w.p = k, or all of w.p <= k, for a small positive weight w), with
+        repeated points and a few random ones, and lifted hull points
+        (p, -sum(p)) of such sets, which have negative coordinates.  Every
+        facet returned passes the rank test, and member agrees with the
+        LP on sampled points, so none is missing."""
+        rng = random.Random(3300 + dim)
+        for n in range(60):
+            lifted = n % 3 == 2
+            d = dim - lifted
+            w = [1] + [rng.randint(1, 2) for _ in range(d - 1)]
+            k = rng.randint(2, 6 if d == 3 else 4)
+            layer = [p for p in iproduct(range(k + 1), repeat=d)
+                     if sum(map(mul, w, p)) == k
+                     or n % 2 and sum(map(mul, w, p)) < k]
+            pts = layer + rng.sample(layer, min(3, len(layer)))
+            pts += [tuple(rng.randint(0, k) for _ in range(d))
+                    for _ in range(rng.randint(0, 2))]
+            if lifted:
+                pts = [p + (-sum(p),) for p in pts]
+            rng.shuffle(pts)
+            facets = _facet_inequalities(tuple(pts), dim)
+            normals = [c for c, _ in facets]
+            assert len(set(normals)) == len(normals), pts
+            assert all(is_facet(pts, c, m) for c, m in facets), pts
+            P = NewtonPolyhedron(dim, tuple(pts))
+            probes = probe_points(rng, pts)
+            for q in rng.sample(probes, min(10, len(probes))):
+                assert member(P, q) == member_lp(pts, q), (pts, q)
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_4d_antichain(self, n):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from icm import polytopes
+from icm import newton, polytopes
 from icm.errors import BudgetExceededError, DimensionMismatchError
 from icm.ideals import MonomialIdeal, unit_ideal
 from icm.monoid import closed_supersets, factor_atoms, star
@@ -538,12 +538,13 @@ class TestColonFactorization:
 class TestColonEvaluate:
     def test_evaluate_multiplies_once_per_distinct_factor(self, monkeypatch):
         # c copies of (x^a, y^b) are one edge of lattice length c; adding
-        # copy by copy would read one edge per copy
+        # copy by copy would read one edge per copy.  evaluate builds
+        # through newton._closed_from_counts, which calls the patched name
         f = colon_factorization_2d(integral_closure(ideal((40, 0), (0, 40))))
         assert f.num_factors == ((1, 1),) * 40
         calls = []
-        real = polytopes._closed_from_edges
-        monkeypatch.setattr(polytopes, "_closed_from_edges",
+        real = newton._closed_from_edges
+        monkeypatch.setattr(newton, "_closed_from_edges",
                             lambda *args: calls.append(args) or real(*args))
         assert f.evaluate() == f.base
         assert calls == [((0, 0), [((1, 1), 40)])]
