@@ -75,6 +75,7 @@ class MonomialIdeal(_Record):
     __slots__ = ("dim", "gens")
 
     def __init__(self, dim, gens):
+        gens = tuple(map(tuple, gens))
         _check_generators(gens, dim)
         if any(g >= h for g, h in zip(gens, gens[1:])):
             raise ValueError("generators must be stored sorted, without repeats")
@@ -143,11 +144,11 @@ def _check_dims(I, J):
 
 
 def _check_generators(gens, dim):
-    """MonomialIdeal's checks of dim and of each generator's length and
-    signs, the antichain property aside."""
+    """MonomialIdeal's checks of dim and of each generator's length, type
+    and signs, the antichain property aside."""
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
-    _check_points(gens, dim, "generator")
+    _check_integral(gens, dim, "generator")
     for g in gens:
         if any(e < 0 for e in g):
             raise ValueError(f"negative exponent in generator {g}")
@@ -162,6 +163,16 @@ def _check_points(points, dim, what):
         if len(p) != dim:
             raise DimensionMismatchError(
                 f"{what} {p} has length {len(p)}, expected {dim}")
+
+
+def _check_integral(points, dim, what):
+    """_check_points, and a ValueError naming the first point with a
+    coordinate whose type is not int, so a float and a bool are rejected
+    (as an IdealDocument rejects them)."""
+    _check_points(points, dim, what)
+    for p in points:
+        if not all(type(e) is int for e in p):
+            raise ValueError(f"non-integer coordinate in {what} {p}")
 
 
 def product(I, J):

@@ -3,20 +3,21 @@
 Everything here rests on NP(J*K) = NP(J) + NP(K), and four answers are
 read off it with no search.  Each (x_i) is prime and least values add,
 so I = x^m·R splits once into m_i copies of each (x_i) and an R with no
-monomial factor, whose divisors have none either (_split_monomial).  An
+monomial factor, whose divisors have none either (_prime_copies).  An
 NP(R) with one facet off the coordinate hyperplanes is g·NP(S), for g
 the gcd of its intercepts and a simplex S whose only lattice summands
 are its own dilates, so R is g copies of the atom S: Zariski's one-edge
 rule, in any dimension (_atom_power).  NP(I^n) = n·NP(I), so a star
 power is one closure (star_power).  In two variables a Newton polygon
 is its corner and its descending edges counted by lattice length, and a
-Minkowski sum adds both.  So a star or star power is built from the
-summed or scaled reading (star), I's one factorization (Zariski) is read
-off that reading, the corner's copies of (x) and (y) and c copies of
-closure(x^a, y^b) per edge of step (a, b) and length c (_zariski), and
-divisibility and the cofactor are a comparison and a difference of two
-readings (divides).  In other dimensions a divisor J of I has only I's facet normals, and each vertex
-of NP(I) is a vertex of NP(J) plus one of the cofactor's: divisibility
+Minkowski sum adds both.  So a star is built from the summed reading
+(star), I's one factorization (Zariski) is read off that reading, which
+gives I's closedness too (_zariski): the corner's copies of (x) and (y)
+and c copies of closure(x^a, y^b) per edge of step (a, b) and length c,
+and divisibility and the cofactor are a comparison and a difference of
+two readings (divides).  In other dimensions a divisor J of I has only
+I's facet normals, and each vertex of NP(I) is a vertex of NP(J) plus
+one of the cofactor's: divisibility
 and the cofactor are read off I's one facet description (_Dividend).  A
 closed divisor J is fixed by its support vector h_J, its
 least values on I's facet normals c, since NP(J) = {x >= 0 : c.x >=
@@ -32,15 +33,17 @@ arithmetic.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
 
 Inputs are checked where they enter, by MonomialIdeal.  The ideals built
-here skip those checks where they are sorted antichains by proof: in
-d >= 3 star and star_power close their raw points (pairwise sums,
+here skip those checks where they are sorted antichains by proof: a
+d >= 3 star and every star_power close their raw points (pairwise sums,
 dilated generators; the closure reads only the points' hull, so none is
 minimalized) by newton._closure_of_points, _Dividend's divisors and
 cofactors and a dilated simplex's atom are walks of facets by
-newton._lattice_ideal, a 2D star, star power, closure, cofactor or atom
-is read off its polygon's edges by newton._closed_from_edges, and
-_split_monomial's R is normalize_translation's shift.  The primes (x_i)
-and closed_supersets' candidates keep the checks.
+newton._lattice_ideal, a 2D star, closure (a star power's included),
+cofactor or atom is read off its polygon's edges by
+newton._closed_from_edges, and the R of I = x^m·R is
+normalize_translation's shift.  The primes (x_i), one ideal per variable
+present (_prime_copies), and closed_supersets' candidates keep the
+checks.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ from .errors import (BudgetExceededError, NotIntegrallyClosedError,
 from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
-from .newton import (_closed_2d, _closed_from_counts, _closed_from_edges,
-                     _closure_of_points, _descending_edges, _edge_facets,
+from .newton import (_closed_from_counts, _closed_from_edges,
+                     _closed_reading, _closure_of_points, _descending_edges,
                      _facet_inequalities, _lattice_ideal, _vertex_slacks,
                      is_integrally_closed)
 
@@ -108,16 +111,12 @@ def star_power(I, n):
     """I star-multiplied by itself n times; the monoid has no inverses.
 
     NP(J*K) = NP(J) + NP(K), and P + ... + P = n·P for a convex P, so
-    NP(I^n) = n·NP(I).  In two variables that is n times I's corner and
-    each edge's length (newton._closed_from_counts); other dimensions close
-    n·NP(I) = conv(n·g for g in I's generators) + R^d_+, the n-th powers
-    of the generators.  Either way n = 0 gives the unit."""
+    NP(I^n) = n·NP(I) = conv(n·g for g in I's generators) + R^d_+: the
+    closure of the n-th powers of the generators, which in two variables
+    is read off their polygon's edges, I's scaled by n, with no walk
+    (newton._closure_of_points).  n = 0 gives the unit."""
     if n < 0:
         raise ValueError("the monoid has no inverses, so n must be >= 0")
-    if I.dim == 2:
-        (x, y), edges = _descending_edges(I.gens)
-        return _closed_from_counts((n * x, n * y),
-                                   {e: n * c for e, c in edges.items()})
     return _closure_of_points(
         {tuple(n * a for a in g) for g in I.gens}, I.dim)
 
@@ -344,33 +343,33 @@ def _require_closed(I, name="ideal"):
         raise NotIntegrallyClosedError(f"{name} must be integrally closed")
 
 
-def _split_monomial(I):
-    """I = x^m·R as the m_i copies of each prime (x_i), and R.
+def _prime_copies(m):
+    """The m_i copies of each prime (x_i) in I = x^m·R, m being I's
+    corner (normalize_translation gives it with R): one ideal per variable
+    present, repeated, in order of i.
 
     An atom other than (x_i) has no monomial factor, which (x_i) would
     split off, and the least value of each x_i on NP adds under star; so
     every factorization of I is these copies plus one of R, and no divisor
     of R has a monomial factor."""
-    R, m = normalize_translation(I)
-    return [principal_ideal(tuple(int(k == i) for k in range(I.dim)))
-            for i, e in enumerate(m) for _ in range(e)], R
+    return [prime for i, e in enumerate(m) if e for prime in
+            [principal_ideal(tuple(int(k == i) for k in range(len(m))))] * e]
 
 
-def _zariski(I):
-    """The copies of (x) and (y), and the descending edges, of a closed 2D
-    I, read once off its Newton polygon (newton._descending_edges), whose
-    closedness test takes its facets from the same reading (as divides).
+def _zariski(I, name="ideal"):
+    """The corner and descending edges of a closed 2D I, read once off its
+    Newton polygon with its closedness (newton._closed_reading); a
+    NotIntegrallyClosedError naming I as name if it is not closed.
 
     I is its corner monomial x^a·y^b times, for each descending edge of
     primitive step (a', b') and lattice length c, c copies of the atom
     closure(x^a', y^b') (Zariski).  A Minkowski sum merges edges by slope,
     so that product's NP is NP(I); a polygon whose one edge is primitive
     has no lattice summands but itself and a point, so each is an atom."""
-    (x, y), edges = _descending_edges(I.gens)
-    if not _closed_2d(I.gens, _edge_facets((x, y), edges.items())):
-        raise NotIntegrallyClosedError("ideal must be integrally closed")
-    return ([principal_ideal((1, 0))] * x + [principal_ideal((0, 1))] * y,
-            edges)
+    reading = _closed_reading(I.gens)
+    if reading is None:
+        raise NotIntegrallyClosedError(f"{name} must be integrally closed")
+    return reading
 
 
 def _atom_power(R):
@@ -381,7 +380,7 @@ def _atom_power(R):
     (c_i > 0) of gcd g.  The other facets are the coordinate ones, so
     NP(R) = {x >= 0 : c.x >= m}, with vertices a_i·e_i.  A closed divisor
     J has R's normals and no monomial factor (see _Dividend,
-    _split_monomial), so NP(J) = {x >= 0 : c.x >= t} = (t/m)·NP(R) for
+    _prime_copies), so NP(J) = {x >= 0 : c.x >= t} = (t/m)·NP(R) for
     some t <= m, and its vertices (t/m)·a_i·e_i are lattice points.  An
     integer combination of the a_i is g, so t/m is a multiple of 1/g: J is
     k copies of S, the lattice points of {x >= 0 : c.x >= m/g}, and R is g
@@ -423,60 +422,58 @@ def _proper_split(R, budget):
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    Every star product is closed, so a J that is not has no divisor.  In
-    two variables a Newton polygon is its corner plus its descending
-    edges, and a Minkowski sum merges edges by slope, so NP(I) + NP(K) =
-    NP(J) iff the corners add and edges(I) + edges(K) = edges(J) as
-    multisets: K's corner and edges are J's less I's, and K is built from
-    them (newton._descending_edges, newton._closed_from_edges).  J's edges
-    are read once: its closedness test takes its facets from them
-    (newton._edge_facets, newton._closed_2d).  Other
-    dimensions read K off J's facets and vertices (see _Dividend).  By
-    cancellation K is J : I either way, and no colon, product or search
+    Every star product is closed, so a J that is not has no divisor; in
+    two variables the reading of J's Newton polygon tells (its corner and
+    descending edges, newton._closed_reading).  A Minkowski sum merges
+    edges by slope, so NP(I) + NP(K) = NP(J) iff the corners add and
+    edges(I) + edges(K) = edges(J) as multisets: K's corner and edges are
+    J's less I's, and K is built from them (newton._closed_from_edges).
+    Other dimensions read K off J's facets and vertices (see _Dividend).
+    By cancellation K is J : I either way, and no colon, product or search
     runs.  I need not be closed.  The budget keyword is kept because
     callers pass one to every monoid query; it is never spent.
     """
     _check_dims(I, J)
+    closed = _closed_reading(J.gens) if I.dim == 2 else is_integrally_closed(J)
+    if not closed:
+        return None
     if I.dim == 2:
-        (jx, jy), edges = _descending_edges(J.gens)
-        if not _closed_2d(J.gens, _edge_facets((jx, jy), edges.items())):
-            return None
+        (jx, jy), edges = closed
         (ix, iy), have = _descending_edges(I.gens)
         if ix > jx or iy > jy or not have <= edges:
             return None
         return _closed_from_edges((jx - ix, jy - iy), [
             (e, c - have[e]) for e, c in edges.items() if c > have[e]])
-    if not is_integrally_closed(J):
-        return None
     dividend = _Dividend(J)
     h = dividend.support(I)
     return None if h is None else dividend.cofactor(h)
 
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
-    """No pair of non-unit closed ideals star-multiplies to I.  An I with a
-    monomial factor is an atom iff it is some (x_i).  In 2D the rest is
-    read off the counts of Zariski's factorization, one atom in all; in
-    other dimensions it is _atom_power's count when that reads one, else
-    _proper_split's, exhaustive over the finite divisor search."""
+    """No pair of non-unit closed ideals star-multiplies to I.  The atoms
+    are counted, not built: the corner's copies of each (x_i), so an I
+    with a monomial factor is an atom iff it is some (x_i), then in 2D the
+    edges' lengths of Zariski's factorization, one atom in all; in other
+    dimensions R's count is _atom_power's when that reads one, else
+    _proper_split decides, exhaustive over the finite divisor search."""
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
     budget = _as_budget(budget)
     if I.dim == 2:
-        variables, edges = _zariski(I)
+        corner, edges = _zariski(I)
         count = sum(edges.values())
     else:
         _require_closed(I)
-        variables, R = _split_monomial(I)
-        if variables:
-            return variables == [I]
+        R, corner = normalize_translation(I)
+        if any(corner):
+            return sum(corner) == 1 and R.is_unit
         read = _atom_power(R)
         if read is None:
             return _proper_split(R, budget) is None
         count = read[1]
-    if not variables:
+    if not any(corner):
         _spend_atoms(budget, count)
-    return len(variables) + count == 1
+    return sum(corner) + count == 1
 
 
 class Factorization(_Record):
@@ -495,10 +492,10 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
     """One factorization of I into star-irreducible ideals.
 
     In 2D it is Zariski's, read off the Newton polygon (_zariski).  In
-    other dimensions: the copies of each (x_i) that _split_monomial splits
-    off once, then R's pieces from a work list, each read by _atom_power
-    when it can be, else split at the first proper divisor that
-    _Dividend.divisors yields.  A divisor of a monomial-free ideal is
+    other dimensions: the copies of each (x_i) that split off once
+    (_prime_copies), then R's pieces from a work list, each read by
+    _atom_power when it can be, else split at the first proper divisor
+    that _Dividend.divisors yields.  A divisor of a monomial-free ideal is
     monomial-free, and ord is additive, so every split leads to atoms.
     Deterministic either way.
     """
@@ -506,15 +503,16 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
         raise ValueError("the unit ideal has no atomic factorization")
     budget = _as_budget(budget)
     if I.dim == 2:
-        atoms, edges = _zariski(I)
+        corner, edges = _zariski(I)
         _spend_atoms(budget, sum(edges.values()))
-        for e, c in edges.items():
-            atoms += [_closed_from_edges((0, 0), [(e, 1)])] * c
         pending = []
-    else:
+    else:  # no edges are read outside 2D
         _require_closed(I)
-        atoms, R = _split_monomial(I)
-        pending = [] if R.is_unit else [R]
+        R, corner = normalize_translation(I)
+        edges, pending = {}, ([] if R.is_unit else [R])
+    atoms = _prime_copies(corner)
+    for e, c in edges.items():
+        atoms += [_closed_from_edges((0, 0), [(e, 1)])] * c
     while pending:
         current = pending.pop()
         read = _atom_power(current)
@@ -535,7 +533,7 @@ def factor_atoms(I, budget=DEFAULT_BUDGET):
 def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
     In d <= 2 it is unique (Zariski), and it is when I = x^m·R
-    (_split_monomial) has R the unit or a power of one atom (_atom_power):
+    (_prime_copies) has R the unit or a power of one atom (_atom_power):
     factor_atoms' answer.  Else one divisor search runs on R and its
     answers are factored as support vectors
     (module docstring), the zero vector being the unit's: an atom's
@@ -544,7 +542,7 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
     which is a divisor's vector."""
     if I.dim == 2:
         return {factor_atoms(I, budget).atoms}
-    variables, R = _split_monomial(I)
+    R, corner = normalize_translation(I)
     if R.is_unit or _atom_power(R) is not None:
         return {factor_atoms(I, budget).atoms}
     _require_closed(I)
@@ -562,11 +560,10 @@ def all_factorizations(I, budget=DEFAULT_BUDGET):
 
     def rec(rest, start, chosen):
         if rest == unit:
-            results.add(tuple(sorted(variables + chosen,
-                                     key=lambda a: a.gens)))
+            results.add(tuple(sorted(chosen, key=lambda a: a.gens)))
         for i, (A, h) in enumerate(atoms[start:], start):
             if minus(rest, h) in found:
                 rec(minus(rest, h), i, chosen + [A])
 
-    rec(tuple(m for _, m in dividend.facets), 0, [])
+    rec(tuple(m for _, m in dividend.facets), 0, _prime_copies(corner))
     return results

@@ -10,13 +10,13 @@ they come from the double description method, fed the points extreme
 first.  Vertices and equality are read off the facets, so no LP runs.  A
 2D polygon is also its corner and its descending edges counted by
 lattice length (_descending_edges), and every 2D closure (of an ideal or
-of a raw point set) is built from that reading alone by
-_closed_from_edges.  A Minkowski sum adds corners and edge Counters, so
-a 2D star, star power or colon factorization's product is built from
-its summed reading, sorted steepest first by _closed_from_counts, with
-no point sum formed; the generators, one per column or row of an edge,
-are a sorted antichain by proof, and no facet is built and no box is
-walked.  In other dimensions integral closure is a staircase walk of a
+of a raw point set, such as a star power's n-th powers) is built from
+that reading alone by _closed_from_edges.  A Minkowski sum adds corners
+and edge Counters, so a 2D star or colon factorization's product is
+built from its summed reading, sorted steepest first by
+_closed_from_counts, with no point sum formed; the generators, one per
+column or row of an edge, are a sorted antichain by proof, and no facet
+is built and no box is walked.  In other dimensions integral closure is a staircase walk of a
 box, one line of columns at a time, that reads the line's lowest points
 of NP off the facets with m > 0 and yields the minimal generators alone;
 they are a sorted antichain by the walk's proof, so every such closure
@@ -24,9 +24,9 @@ they are a sorted antichain by the walk's proof, so every such closure
 of a divisor's facets) is built by _lattice_ideal and skips
 MonomialIdeal's checks.  Closedness walks the box only for d != 2:
 a 2D ideal is closed iff its box complement's inner corners lie outside
-NP, a test of each on the facets.  The edge reading also gives the 2D
-facets (_edge_facets), which monoid.divides reads once, for its
-closedness test (_closed_2d), with the edges for its cofactor.  The
+NP, a test of each on the facets.  The edge reading gives those facets
+too, so a closed 2D ideal's corner, edges and closedness are one reading
+(_closed_reading), which monoid's divides and 2D factorization take.  The
 tests check the description against an independent rational LP and a
 rank test of each facet.
 """
@@ -39,17 +39,22 @@ from itertools import product as iter_product
 from math import gcd, inf, lcm
 from operator import mul
 
-from .ideals import (_Record, _check_dims, _check_points, _sorted_antichain,
-                     generator_box, minimalize, staircase)
+from .ideals import (_Record, _check_dims, _check_integral, _check_points,
+                     _sorted_antichain, generator_box, minimalize, staircase)
 
 
 class NewtonPolyhedron(_Record):
-    # points: a sorted tuple of exponent tuples; the polyhedron is
+    # points: a tuple of integer tuples, negative coordinates allowed (a
+    # d >= 3 hull lifts p to (p, -sum(p))); the polyhedron is
     # conv(points) + R^d_+
     __slots__ = ("dim", "points")
 
     def __init__(self, dim, points):
-        _check_points(points, dim, "point")
+        # a tuple of tuples is kept as given: np_of(I) then holds I.gens
+        # itself, the key of the facet entry I's own queries filed
+        if {type(points), *map(type, points)} != {tuple}:
+            points = tuple(map(tuple, points))
+        _check_integral(points, dim, "point")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points", points)
 
@@ -157,23 +162,17 @@ def _descending_edges(points):
 
 def _edge_facets(corner, edges):
     """Facets of the 2D polyhedron with the corner (x, y) and the
-    descending edges edges, ((a, b), c) pairs steepest first: the two axis
-    facets and one per edge, with the normal (b, a), read off where the
-    edge starts, at height y plus the b*c of it and the edges after it."""
+    descending edges edges, a Counter of steps (a, b) to lengths c,
+    steepest first, as _descending_edges reads them: the two axis facets
+    and one per edge, with the normal (b, a), read off where the edge
+    starts, at height y plus the b*c of it and the edges after it."""
     x, low = corner
-    y = low + sum(b * c for (_, b), c in edges)
+    y = low + sum(b * c for (_, b), c in edges.items())
     facets = [((1, 0), x), ((0, 1), low)]
-    for (a, b), c in edges:
+    for (a, b), c in edges.items():
         facets.append(((b, a), b * x + a * y))
         x, y = x + a * c, y - b * c
     return tuple(facets)
-
-
-def _chain_facets_2d(points):
-    """Facets of a 2D polyhedron from its sorted points, read off its
-    corner and the descending edges of its lower convex chain."""
-    corner, edges = _descending_edges(points)
-    return _edge_facets(corner, edges.items())
 
 
 def _double_description(pts, dim):
@@ -253,7 +252,7 @@ def _facet_inequalities(points, dim):
     same in any order, and sorting them makes the tuple so too.
     """
     if dim == 2:
-        return _chain_facets_2d(sorted(set(points)))
+        return _edge_facets(*_descending_edges(sorted(set(points))))
     pts = sorted(set(points), key=lambda p: (-max(p), p))
     return tuple(sorted(_double_description(pts, dim)))
 
@@ -303,8 +302,8 @@ def integral_closure(I):
 
 def _closure_of_points(points, dim):
     """Closure of the ideal that the points generate, such as a d >= 3
-    star's pairwise sums: NP reads only their hull, so no minimalizing
-    pass runs.
+    star's pairwise sums or a star power's n-th powers: NP reads only
+    their hull, so no minimalizing pass runs.
     In 2D it is built from the polygon's corner and descending edges, with
     no facets and no walk.  Other dimensions walk the points' box, which
     holds the box of their minimal points, so the walk misses no
@@ -360,6 +359,15 @@ def _closed_2d(gens, facets):
     NP, each tested on the facets in integers (is_integrally_closed)."""
     return not any(all(a * (x - 1) + b * (y - 1) >= m for (a, b), m in facets)
                    for (_, y), (x, _) in zip(gens, gens[1:]))
+
+
+def _closed_reading(gens):
+    """The corner and descending edges of a closed 2D ideal's sorted
+    generators (_descending_edges), or None if the ideal is not closed: its
+    closedness test (_closed_2d) takes its facets from the same reading
+    (_edge_facets), so the polygon is read once."""
+    reading = _descending_edges(gens)
+    return reading if _closed_2d(gens, _edge_facets(*reading)) else None
 
 
 def is_integrally_closed(I):

@@ -20,10 +20,9 @@ from math import gcd
 from .errors import DimensionMismatchError
 from .ideals import (_Record, _check_dims, _check_points, minimalize,
                      normalize_translation, unit_ideal)
-from .monoid import _as_budget, _require_closed, star
-from .newton import (NewtonPolyhedron, _closed_from_counts,
-                     _descending_edges, convex_chain, integral_closure,
-                     vertices)
+from .monoid import _as_budget, _zariski, star
+from .newton import (NewtonPolyhedron, _closed_from_counts, convex_chain,
+                     integral_closure, vertices)
 
 
 class IntegralPolytope(_Record):
@@ -421,7 +420,8 @@ def colon_factorization_2d(I):
     """Express a closed 2D ideal as a monomial times a star product of
     closures of (x^a, y^b), read off its Newton polygon: the corner is the
     monomial, and each descending edge (a, -b) of lattice length c gives c
-    copies of (a, b) (newton._descending_edges).
+    copies of (a, b).  The polygon is read once, its closedness with it
+    (monoid._zariski).
 
     phi sends Segment(-a, b) with a, b > 0 to the class of
     closure(x^a, y^b) and every other basis element to the identity
@@ -433,8 +433,7 @@ def colon_factorization_2d(I):
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
-    _require_closed(I, "input")
-    corner, edges = _descending_edges(I.gens)
+    corner, edges = _zariski(I, "input")
     f = ColonFactorization(I, corner, tuple(sorted(edges.elements())))
     if f.evaluate() != I:
         raise AssertionError("edge counts do not recombine to the input")

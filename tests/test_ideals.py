@@ -50,6 +50,26 @@ class TestConstruction:
             MonomialIdeal(0, ((),))
         assert info.type is ValueError
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+    def test_rejects_non_integer_exponents(self, bad):
+        # a float would reach the closure's integer arithmetic, and a
+        # bool is no exponent, as an IdealDocument already rules
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-integer coordinate in generator {(0, bad)}")):
+            MonomialIdeal(2, ((0, bad), (2, 0)))
+        with pytest.raises(ValueError, match="non-integer coordinate"):
+            minimalize([(0, bad), (2, 0)], 2)
+
+    def test_stores_list_input_as_tuples(self):
+        # so the ideal equals and hashes as its tuple twin, and the facet
+        # cache can key on it
+        I = MonomialIdeal(2, [[0, 1], (1, 0)])
+        assert I == ideal((0, 1), (1, 0))
+        assert hash(I) == hash(ideal((0, 1), (1, 0)))
+        assert is_integrally_closed(I)
+        assert integral_closure(MonomialIdeal(2, [(0, 2), (2, 0)])) == ideal(
+            (0, 2), (1, 1), (2, 0))
+
     def test_unit_flag(self):
         assert unit_ideal(3).is_unit
         assert not ideal((1, 0), (0, 1)).is_unit

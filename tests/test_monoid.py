@@ -130,8 +130,8 @@ class TestStar:
             assert star(I, J) == integral_closure(product(I, J)), (I, J)
 
     def test_2d_power_is_the_folded_star_seeded(self):
-        # star_power scales the corner and every edge count by n; the
-        # oracles fold star and close the n-fold product
+        # star_power closes the n-th powers of the generators; the oracles
+        # fold star and close the n-fold product
         rng = random.Random(3201)
         for _ in range(100):
             I = self._seeded_2d(rng, 12)
@@ -142,10 +142,12 @@ class TestStar:
                 folded, power = star(folded, I), product(power, I)
 
     def test_2d_forms_no_pairwise_sums(self, monkeypatch):
-        # a 2D star or star power never reaches the closure of raw points,
-        # so it costs the generators it returns: the ROADMAP's star(A, B)
-        # of two 1,001-generator ideals answers with the point closure
-        # patched to raise
+        # a 2D star never reaches the closure of raw points, so it costs
+        # the generators it returns: the ROADMAP's star(A, B) of two
+        # 1,001-generator ideals answers with the point closure patched to
+        # raise.  A star power closes its n-th powers, which in 2D reads
+        # their polygon's edges: it answers with the facet walk patched to
+        # raise
         A0 = parse_ideal("x^3000,y^1000")
         B0 = parse_ideal("x^2000,x^700*y^300,y^2500")
         A, B = integral_closure(A0), integral_closure(B0)
@@ -155,10 +157,15 @@ class TestStar:
         def forbidden(*args):
             raise AssertionError("pairwise sums closed")
 
-        monkeypatch.setattr(monoid, "_closure_of_points", forbidden)
-        assert star(A, B) == expected
-        assert len(expected.gens) == 2001
-        assert star(I, M2) == ideal((5, 0), (2, 1), (1, 2), (0, 4))
+        def walked(*args):
+            raise AssertionError("columns walked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(monoid, "_closure_of_points", forbidden)
+            assert star(A, B) == expected
+            assert len(expected.gens) == 2001
+            assert star(I, M2) == ideal((5, 0), (2, 1), (1, 2), (0, 4))
+        monkeypatch.setattr(newton, "_lattice_ideal", walked)
         assert star_power(I, 3) == star(star(I, I), I)
         assert star_power(A, 0) == unit_ideal(2)
         assert star_power(A, 2) == star(A, A)
@@ -432,6 +439,30 @@ class TestIrreducible:
         I = integral_closure(parse_ideal("x^2,y^3,z^5,w^7"))
         assert is_star_irreducible(I, budget=SearchBudget(0))
 
+    def test_2d_builds_no_ideal(self, monkeypatch):
+        # a 2D answer is the count of the corner's variables plus the
+        # edges' lengths, so it answers with the prime builder patched to
+        # raise; seeded closed ideals in box (5, 5), half of them times
+        # x^i·y^j, and the primes themselves, against the exhaustive search
+        rng = random.Random(61)
+        cases = [ideal((1, 0)), ideal((0, 1)), ideal((2, 0)), ideal((1, 1))]
+        for n in range(120):
+            pts = [(0, rng.randint(1, 3)), (rng.randint(1, 3), 0)] + [
+                (rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 2))]
+            i, j = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+                              ) if n % 2 else (0, 0)
+            cases.append(integral_closure(minimalize(
+                [(a + i, b + j) for a, b in pts], 2)))
+        expected = [irreducible_by_search(I) for I in cases]
+        assert {True, False} <= set(expected[4::2]) and True in expected[:4]
+
+        def forbidden(*args):
+            raise AssertionError("ideal built")
+
+        monkeypatch.setattr(monoid, "principal_ideal", forbidden)
+        assert [is_star_irreducible(I) for I in cases] == expected
+
     def test_budget_exceeded_is_distinct(self):
         # (x^9, xy, y^9) is two atoms, closure(x, y^8) and closure(x^8,
         # y), read off its two edges at one unit each, so a budget of one
@@ -481,6 +512,26 @@ class TestFactorAtoms:
         assert factor_atoms(I, budget=SearchBudget(0)).atoms == (
             ideal((0, 1)), M2)
         assert not is_star_irreducible(I, budget=SearchBudget(0))
+
+    def test_one_prime_built_per_variable(self, monkeypatch):
+        # the copies of each (x_i) share one ideal: x^1100·y·z builds
+        # three, and a 2D ideal with corner (0, 0) builds none
+        built = []
+
+        def counted(exponent):
+            built.append(exponent)
+            return principal_ideal(exponent)
+
+        monkeypatch.setattr(monoid, "principal_ideal", counted)
+        x, y, z = ideal((1, 0, 0)), ideal((0, 1, 0)), ideal((0, 0, 1))
+        atoms = factor_atoms(integral_closure(parse_ideal("x^1100*y*z"))).atoms
+        assert atoms == (z, y) + (x,) * 1100
+        assert sorted(built) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        built.clear()
+        I = integral_closure(ideal((6, 0), (0, 4)))
+        assert factor_atoms(I).atoms == (
+            integral_closure(ideal((3, 0), (0, 2))),) * 2
+        assert built == []
 
     def test_variable_factor_leaves_one_search(self):
         # z * A for an atom A: only the proof that A is an atom searches

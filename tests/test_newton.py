@@ -1,4 +1,5 @@
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
@@ -74,6 +75,28 @@ class TestMember:
     def test_polyhedron_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
             NewtonPolyhedron(2, ((1, 0), (0, 1, 0)))
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(1), True, "1"])
+    def test_polyhedron_rejects_non_integer_points(self, bad):
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-integer coordinate in point {(0, bad)}")):
+            NewtonPolyhedron(2, ((0, bad), (1, 0)))
+
+    def test_polyhedron_stores_tuples(self):
+        # list input is stored as tuples, so the polyhedron hashes, equals
+        # its tuple twin and answers member; a tuple of tuples is kept as
+        # given, so np_of holds the generators the facet cache is keyed
+        # by; negative coordinates stay allowed, as a d >= 3 hull lifts
+        # its points below 0
+        I = ideal((0, 1), (1, 0))
+        assert np_of(I).points is I.gens
+        P = NewtonPolyhedron(2, [[0, 1], (1, 0)])
+        assert P == NewtonPolyhedron(2, ((0, 1), (1, 0)))
+        assert hash(P) == hash(NewtonPolyhedron(2, ((0, 1), (1, 0))))
+        assert member(P, [Fraction(1, 2), Fraction(1, 2)])
+        assert not member(P, (Fraction(1, 3), Fraction(1, 3)))
+        Q = NewtonPolyhedron(2, ((-1, 2), (2, -1)))
+        assert member(Q, (0, 1)) and not member(Q, (0, 0))
 
     def test_against_lp_oracle(self):
         rng = random.Random(11)
@@ -377,6 +400,16 @@ class TestIntegralClosure:
 class TestIsIntegrallyClosed:
     def test_open_square(self):
         assert not is_integrally_closed(ideal((2, 0), (0, 2)))
+
+    def test_2d_fills_the_facets_member_reads(self):
+        # a 2D closedness test reads the cached facet description, so a
+        # later member test on the same ideal's polyhedron builds none
+        I = ideal((9967, 0), (4001, 3), (0, 11))
+        is_integrally_closed(I)
+        misses = _facet_inequalities.cache_info().misses
+        assert member(np_of(I), (4001, 3))
+        assert not member(np_of(I), (4000, 3))
+        assert _facet_inequalities.cache_info().misses == misses
 
     def test_closed_segment(self):
         assert is_integrally_closed(ideal((1, 0), (0, 2)))

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from icm import newton, polytopes
-from icm.errors import BudgetExceededError, DimensionMismatchError
+from icm.errors import (BudgetExceededError, DimensionMismatchError,
+                        NotIntegrallyClosedError)
 from icm.ideals import MonomialIdeal, unit_ideal
 from icm.monoid import closed_supersets, factor_atoms, star
 from icm.newton import integral_closure
@@ -496,6 +497,18 @@ class TestColonFactorization:
     def test_rejects_unclosed(self):
         with pytest.raises(ValueError):
             colon_factorization_2d(ideal((2, 0), (0, 2)))
+
+    def test_reads_the_polygon_once(self):
+        # the closedness test and the factors come from one edge reading,
+        # so no facet description is built, and a non-closed input is
+        # still named as the input
+        I = integral_closure(ideal((9973, 0), (5003, 7), (0, 20)))
+        misses = newton._facet_inequalities.cache_info().misses
+        assert colon_factorization_2d(I).evaluate() == I
+        assert newton._facet_inequalities.cache_info().misses == misses
+        with pytest.raises(NotIntegrallyClosedError,
+                           match="input must be integrally closed"):
+            colon_factorization_2d(ideal((9973, 0), (0, 20)))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
