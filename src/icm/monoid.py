@@ -11,25 +11,30 @@ rule, in any dimension (_atom_power).  NP(I^n) = n·NP(I), so a star
 power is one closure (star_power).  In two variables a Newton polygon
 is its corner and its descending edges counted by lattice length, and a
 Minkowski sum adds both.  So a star is built from the summed reading
-(star), I's one factorization (Zariski) is read off that reading, which
-gives I's closedness too (_zariski): the corner's copies of (x) and (y)
-and c copies of closure(x^a, y^b) per edge of step (a, b) and length c,
-and divisibility and the cofactor are a comparison and a difference of
-two readings (divides).  In other dimensions a divisor J of I has only
-I's facet normals, and each vertex of NP(I) is a vertex of NP(J) plus
-one of the cofactor's: divisibility
-and the cofactor are read off I's one facet description (_Dividend).  A
-closed divisor J is fixed by its support vector h_J, its
-least values on I's facet normals c, since NP(J) = {x >= 0 : c.x >=
-h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since least values add under
-Minkowski sums.  The vectors lie in NP(I)'s type cone (McMullen 1973),
-where P(g) + P(h) = P(g + h), so for divisors J and K of I, J
-star-divides K iff h_K - h_J is a divisor's vector.  The vectors are
-read off maps of NP(I)'s vertices that move each bounded edge by a part
-of its lattice length (Shephard 1963), found by a depth-first search
-over the edges (_Dividend.divisors), so a d >= 3 factorization that no
-rule reads is one finite search, whose cost follows the number of divisors, plus vector
-arithmetic.  Searches carry an explicit budget; running out raises
+(star), R's one factorization (Zariski) is read off the edges, c copies
+of closure(x^a, y^b) per edge of step (a, b) and length c, and
+divisibility and the cofactor are a comparison and a difference of two
+readings (divides).  One owner reads closedness for every query
+(_require_closed); in 2D the same reading gives the corner and edges.
+The three factorization queries take one split of I off it (_split):
+the corner, the 2D edges and R.  factor_atoms and all_factorizations
+build its atoms by one builder (_atoms), and is_star_irreducible counts
+them.  In other dimensions a divisor J of I has only I's facet normals,
+and each vertex of NP(I) is a vertex of NP(J) plus one of the
+cofactor's: divisibility and the cofactor are read off I's one facet
+description (_Dividend).  A closed divisor J is fixed by its support
+vector h_J, its least values on I's facet normals c, since NP(J) =
+{x >= 0 : c.x >= h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since
+least values add under Minkowski sums.  The vectors lie in NP(I)'s type
+cone (McMullen 1973), where P(g) + P(h) = P(g + h), so for divisors J
+and K of I, J star-divides K iff h_K - h_J is a divisor's vector.  The
+vectors are read off maps of NP(I)'s vertices that move each bounded
+edge by a part of its lattice length (Shephard 1963), found by a
+depth-first search over the edges (_Dividend.divisors), so a d >= 3
+factorization that no rule reads is one finite search, whose cost
+follows the number of divisors, plus vector arithmetic: factor_atoms
+stops at the first split (_proper_split), all_factorizations collects
+every divisor.  Searches carry an explicit budget; running out raises
 BudgetExceededError, never a wrong negative.
 
 Inputs are checked where they enter, by MonomialIdeal.  The ideals built
@@ -68,11 +73,14 @@ DEFAULT_BUDGET = 500_000
 class SearchBudget:
     """One unit per map of a divisor search (a node of its depth-first
     search) and per divisor it yields; closed_supersets: per candidate;
-    decompose_2d: one unit per basis copy.  Atoms that a theorem reads off
-    (Zariski's edges in 2D, a dilated simplex's copies in any dimension)
-    are free when the monomial-free part is one atom or none, as are the
-    copies of each (x_i); a part of more than one atom costs one unit per
-    atom, each a spend(), so a budget it exceeds stops at limit + 1."""
+    decompose_2d: one unit per basis copy.  Atoms read off by a theorem
+    are charged by one rule (_spend_atoms): a reading that gives one atom,
+    or none, is free, and one that gives more costs one unit per atom,
+    each a spend(), so a budget it exceeds stops at limit + 1.  A reading
+    is a 2D ideal's edges, all of them together, or one dilated simplex
+    (_atom_power).  The copies of each (x_i) are free.  _atoms charges by
+    this rule, and so does is_star_irreducible, which charges nothing for
+    an I with a monomial factor, answered off its corner alone."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -337,10 +345,17 @@ class _Dividend:
 
 
 def _require_closed(I, name="ideal"):
-    """The monoid's elements are the closed ideals; a search over anything
-    else would answer silently for an ideal outside it."""
-    if not is_integrally_closed(I):
+    """The one reading of I's closedness that the monoid queries take: in
+    2D the corner and descending edges of its Newton polygon, which give
+    the test too (newton._closed_reading), in other dimensions True
+    (is_integrally_closed).  The monoid's elements are the closed ideals,
+    and a search over anything else would answer silently for an ideal
+    outside it, so an I that is not closed raises NotIntegrallyClosedError
+    naming it as name."""
+    reading = _closed_reading(I.gens) if I.dim == 2 else is_integrally_closed(I)
+    if not reading:
         raise NotIntegrallyClosedError(f"{name} must be integrally closed")
+    return reading
 
 
 def _prime_copies(m):
@@ -356,20 +371,24 @@ def _prime_copies(m):
             [principal_ideal(tuple(int(k == i) for k in range(len(m))))] * e]
 
 
-def _zariski(I, name="ideal"):
-    """The corner and descending edges of a closed 2D I, read once off its
-    Newton polygon with its closedness (newton._closed_reading); a
-    NotIntegrallyClosedError naming I as name if it is not closed.
+def _split(I):
+    """A closed I as x^m·R, read once with its closedness
+    (_require_closed): the corner m, the edges and R, None for the unit.
+    Every factorization of I is m's prime copies plus one of R
+    (_prime_copies).
 
-    I is its corner monomial x^a·y^b times, for each descending edge of
-    primitive step (a', b') and lattice length c, c copies of the atom
-    closure(x^a', y^b') (Zariski).  A Minkowski sum merges edges by slope,
-    so that product's NP is NP(I); a polygon whose one edge is primitive
-    has no lattice summands but itself and a point, so each is an atom."""
-    reading = _closed_reading(I.gens)
-    if reading is None:
-        raise NotIntegrallyClosedError(f"{name} must be integrally closed")
-    return reading
+    In 2D, R is read off the Newton polygon as its descending edges, a
+    Counter of primitive steps (a, b) to lattice lengths c, and no ideal is
+    built: R is c copies of the atom closure(x^a, y^b) per edge (Zariski).
+    A Minkowski sum merges edges by slope, so that product's NP is NP(R);
+    a polygon whose one edge is primitive has no lattice summands but
+    itself and a point, so each is an atom.  In other dimensions the edges
+    are {} and R is normalize_translation's."""
+    reading = _require_closed(I)
+    if I.dim == 2:
+        return (*reading, None)
+    R, corner = normalize_translation(I)
+    return corner, {}, None if R.is_unit else R
 
 
 def _atom_power(R):
@@ -399,8 +418,8 @@ def _atom_power(R):
 
 
 def _spend_atoms(budget, count):
-    """The one charge of atoms read off by a theorem: none for a single
-    atom, else one unit per atom (see SearchBudget)."""
+    """The one charge of count atoms read off by a theorem (see
+    SearchBudget)."""
     if count > 1:
         for _ in range(count):
             budget.spend()
@@ -419,31 +438,66 @@ def _proper_split(R, budget):
     return None
 
 
+def _atoms(corner, edges, R, budget, read=None):
+    """One factorization of the I that _split read as (corner, edges, R),
+    sorted by generator list: the corner's prime copies (_prime_copies)
+    and the edges' atoms, charged together (SearchBudget), then R's pieces
+    from a work list, each read by _atom_power when it can be (read is R's
+    reading, when the caller has taken it), else split at the first proper
+    divisor that _Dividend.divisors yields.  A divisor of a monomial-free
+    ideal is monomial-free, and ord is additive, so every split leads to
+    atoms.  Deterministic; the unit has none, a ValueError."""
+    if R is None and not edges and not any(corner):
+        raise ValueError("the unit ideal has no atomic factorization")
+    _spend_atoms(budget, sum(edges.values()))
+    atoms = _prime_copies(corner)
+    for e, c in edges.items():
+        atoms += [_closed_from_edges((0, 0), [(e, 1)])] * c
+    pending = [] if R is None else [(R, read)]
+    while pending:
+        current, read = pending.pop()
+        read = read or _atom_power(current)
+        if read is not None:
+            A, count = read
+            _spend_atoms(budget, count)
+            atoms += [A] * count
+            continue
+        split = _proper_split(current, budget)  # None for an atom
+        if split is None:
+            atoms.append(current)
+        else:  # the first factor splits next
+            pending += [(K, None) for K in reversed(split)]
+    return tuple(sorted(atoms, key=lambda a: a.gens))
+
+
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    Every star product is closed, so a J that is not has no divisor; in
-    two variables the reading of J's Newton polygon tells (its corner and
-    descending edges, newton._closed_reading).  A Minkowski sum merges
-    edges by slope, so NP(I) + NP(K) = NP(J) iff the corners add and
-    edges(I) + edges(K) = edges(J) as multisets: K's corner and edges are
-    J's less I's, and K is built from them (newton._closed_from_edges).
-    Other dimensions read K off J's facets and vertices (see _Dividend).
-    By cancellation K is J : I either way, and no colon, product or search
-    runs.  I need not be closed.  The budget keyword is kept because
-    callers pass one to every monoid query; it is never spent.
+    Every star product is closed, so a J that is not has no divisor: J's
+    closedness is read as _require_closed reads it, with no error raised.
+    In two variables that reading is J's corner and descending edges.  A
+    Minkowski sum merges edges by slope, so NP(I) + NP(K) = NP(J) iff the
+    corners add and edges(I) + edges(K) = edges(J) as multisets: K's corner
+    and edges are J's less I's, and K is built from them
+    (newton._closed_from_edges).  Other dimensions read K off J's facets
+    and vertices (see _Dividend).  By cancellation K is J : I either way,
+    and no colon, product or search runs.  I need not be closed.  The
+    budget keyword is kept because callers pass one to every monoid query;
+    it is never spent.
     """
     _check_dims(I, J)
-    closed = _closed_reading(J.gens) if I.dim == 2 else is_integrally_closed(J)
-    if not closed:
-        return None
     if I.dim == 2:
-        (jx, jy), edges = closed
+        reading = _closed_reading(J.gens)
+        if reading is None:
+            return None
+        (jx, jy), edges = reading
         (ix, iy), have = _descending_edges(I.gens)
         if ix > jx or iy > jy or not have <= edges:
             return None
         return _closed_from_edges((jx - ix, jy - iy), [
             (e, c - have[e]) for e, c in edges.items() if c > have[e]])
+    if not is_integrally_closed(J):
+        return None
     dividend = _Dividend(J)
     h = dividend.support(I)
     return None if h is None else dividend.cofactor(h)
@@ -451,29 +505,26 @@ def divides(I, J, budget=DEFAULT_BUDGET):
 
 def is_star_irreducible(I, budget=DEFAULT_BUDGET):
     """No pair of non-unit closed ideals star-multiplies to I.  The atoms
-    are counted, not built: the corner's copies of each (x_i), so an I
-    with a monomial factor is an atom iff it is some (x_i), then in 2D the
-    edges' lengths of Zariski's factorization, one atom in all; in other
-    dimensions R's count is _atom_power's when that reads one, else
-    _proper_split decides, exhaustive over the finite divisor search."""
+    of I's split (_split) are counted, not built: the corner's copies of
+    each (x_i), so an I with a monomial factor is an atom iff it is some
+    (x_i), answered with nothing charged; else the edges' lengths, or R's
+    count when _atom_power reads one, charged as _atoms charges them, one
+    atom in all; else _proper_split decides, exhaustive over the finite
+    divisor search."""
     if I.is_unit:
         raise ValueError("the unit ideal is neither an atom nor composite")
     budget = _as_budget(budget)
-    if I.dim == 2:
-        corner, edges = _zariski(I)
-        count = sum(edges.values())
-    else:
-        _require_closed(I)
-        R, corner = normalize_translation(I)
-        if any(corner):
-            return sum(corner) == 1 and R.is_unit
+    corner, edges, R = _split(I)
+    if any(corner):
+        return sum(corner) == 1 and not edges and R is None
+    count = sum(edges.values())
+    if R is not None:
         read = _atom_power(R)
         if read is None:
             return _proper_split(R, budget) is None
-        count = read[1]
-    if not any(corner):
-        _spend_atoms(budget, count)
-    return sum(corner) + count == 1
+        count += read[1]
+    _spend_atoms(budget, count)
+    return count == 1
 
 
 class Factorization(_Record):
@@ -489,65 +540,27 @@ class Factorization(_Record):
 
 
 def factor_atoms(I, budget=DEFAULT_BUDGET):
-    """One factorization of I into star-irreducible ideals.
-
-    In 2D it is Zariski's, read off the Newton polygon (_zariski).  In
-    other dimensions: the copies of each (x_i) that split off once
-    (_prime_copies), then R's pieces from a work list, each read by
-    _atom_power when it can be, else split at the first proper divisor
-    that _Dividend.divisors yields.  A divisor of a monomial-free ideal is
-    monomial-free, and ord is additive, so every split leads to atoms.
-    Deterministic either way.
-    """
-    if I.is_unit:
-        raise ValueError("the unit ideal has no atomic factorization")
-    budget = _as_budget(budget)
-    if I.dim == 2:
-        corner, edges = _zariski(I)
-        _spend_atoms(budget, sum(edges.values()))
-        pending = []
-    else:  # no edges are read outside 2D
-        _require_closed(I)
-        R, corner = normalize_translation(I)
-        edges, pending = {}, ([] if R.is_unit else [R])
-    atoms = _prime_copies(corner)
-    for e, c in edges.items():
-        atoms += [_closed_from_edges((0, 0), [(e, 1)])] * c
-    while pending:
-        current = pending.pop()
-        read = _atom_power(current)
-        if read is not None:
-            A, count = read
-            _spend_atoms(budget, count)
-            atoms += [A] * count
-            continue
-        split = _proper_split(current, budget)  # None for an atom
-        if split is None:
-            atoms.append(current)
-        else:
-            pending += reversed(split)  # the first factor splits next
-    atoms.sort(key=lambda a: a.gens)
-    return Factorization(base=I, atoms=tuple(atoms))
+    """One factorization of I into star-irreducible ideals: _atoms of I's
+    split (_split), Zariski's in 2D.  Deterministic."""
+    return Factorization(I, _atoms(*_split(I), _as_budget(budget)))
 
 
 def all_factorizations(I, budget=DEFAULT_BUDGET):
     """Every multiset of atoms whose star product is I, up to reordering.
-    In d <= 2 it is unique (Zariski), and it is when I = x^m·R
-    (_prime_copies) has R the unit or a power of one atom (_atom_power):
-    factor_atoms' answer.  Else one divisor search runs on R and its
-    answers are factored as support vectors
-    (module docstring), the zero vector being the unit's: an atom's
-    vector is no sum of two nonzero divisors' vectors, and a factorization
-    of R is a multiset of atom vectors summing to h_R, each partial sum of
-    which is a divisor's vector."""
-    if I.dim == 2:
-        return {factor_atoms(I, budget).atoms}
-    R, corner = normalize_translation(I)
-    if R.is_unit or _atom_power(R) is not None:
-        return {factor_atoms(I, budget).atoms}
-    _require_closed(I)
+    With I = x^m·R split once (_split), it is unique, _atoms' answer, when
+    R is the unit, read off 2D edges (Zariski), or a power of one atom
+    (_atom_power).  Else one divisor search runs on R and its answers are
+    factored as support vectors (module docstring), the zero vector being
+    the unit's: an atom's vector is no sum of two nonzero divisors'
+    vectors, and a factorization of R is a multiset of atom vectors
+    summing to h_R, each partial sum of which is a divisor's vector."""
+    budget = _as_budget(budget)
+    corner, edges, R = _split(I)
+    read = None if R is None else _atom_power(R)
+    if R is None or read is not None:
+        return {_atoms(corner, edges, R, budget, read)}
     dividend = _Dividend(R)
-    found = set(dividend.divisors(_as_budget(budget)))
+    found = set(dividend.divisors(budget))
     unit = (0,) * len(dividend.facets)
 
     def minus(h, g):

@@ -40,7 +40,7 @@ from math import gcd, inf, lcm
 from operator import mul
 
 from .ideals import (_Record, _check_dims, _check_integral, _check_points,
-                     _sorted_antichain, generator_box, minimalize, staircase)
+                     _minimal, _sorted_antichain, generator_box, staircase)
 
 
 class NewtonPolyhedron(_Record):
@@ -108,10 +108,12 @@ def reduce_points(P):
 
 
 def mink_sum(P, Q):
-    """Minkowski sum, supported by the minimal pairwise point sums."""
+    """Minkowski sum, supported by the minimal pairwise point sums, sorted.
+    They are minimalized as points (ideals._minimal), not as an ideal's
+    generators, since a polyhedron's points may be negative."""
     _check_dims(P, Q)
     sums = {tuple(a + b for a, b in zip(p, q)) for p in P.points for q in Q.points}
-    return NewtonPolyhedron(P.dim, minimalize(sums, P.dim).gens)
+    return NewtonPolyhedron(P.dim, tuple(sorted(_minimal(sums))))
 
 
 def np_equal(P, Q):

@@ -18,9 +18,9 @@ from collections import Counter
 from math import gcd
 
 from .errors import DimensionMismatchError
-from .ideals import (_Record, _check_dims, _check_points, minimalize,
+from .ideals import (_Record, _check_dims, _check_integral, minimalize,
                      normalize_translation, unit_ideal)
-from .monoid import _as_budget, _zariski, star
+from .monoid import _as_budget, _require_closed, star
 from .newton import (NewtonPolyhedron, _closed_from_counts, convex_chain,
                      integral_closure, vertices)
 
@@ -28,18 +28,20 @@ from .newton import (NewtonPolyhedron, _closed_from_counts, convex_chain,
 class IntegralPolytope(_Record):
     """conv(verts), stored by its exact vertex set as a sorted tuple.
 
-    The constructor reduces whatever points it is given.  In 2D the
-    monotone chain gives the vertices directly.  In any other d, p is a
-    vertex iff it uniquely minimizes some c over the points, iff the lifted
-    point (p, -sum(p)) uniquely minimizes (c + b, b) > 0 for a large b, iff
-    that lifted point is a vertex of the Newton polyhedron of the lifted
-    points.
+    The constructor checks that every point it is given has integer
+    coordinates (a float or bool is named, as given), then reduces them.
+    In 2D the monotone chain gives the vertices directly.  In any other d,
+    p is a vertex iff it uniquely minimizes some c over the points, iff the
+    lifted point (p, -sum(p)) uniquely minimizes (c + b, b) > 0 for a large
+    b, iff that lifted point is a vertex of the Newton polyhedron of the
+    lifted points.
     """
     __slots__ = ("dim", "verts")
 
     def __init__(self, dim, verts):
-        pts = sorted(set(map(tuple, verts)))
-        _check_points(pts, dim, "point")
+        pts = list(map(tuple, verts))
+        _check_integral(pts, dim, "point")
+        pts = sorted(set(pts))
         if dim == 2:
             exact = set(convex_chain(pts)) | set(convex_chain(pts[::-1]))
         else:
@@ -421,7 +423,7 @@ def colon_factorization_2d(I):
     closures of (x^a, y^b), read off its Newton polygon: the corner is the
     monomial, and each descending edge (a, -b) of lattice length c gives c
     copies of (a, b).  The polygon is read once, its closedness with it
-    (monoid._zariski).
+    (monoid._require_closed).
 
     phi sends Segment(-a, b) with a, b > 0 to the class of
     closure(x^a, y^b) and every other basis element to the identity
@@ -433,7 +435,7 @@ def colon_factorization_2d(I):
     """
     if I.dim != 2:
         raise DimensionMismatchError("colon factorization is implemented in 2D")
-    corner, edges = _zariski(I, "input")
+    corner, edges = _require_closed(I, "input")
     f = ColonFactorization(I, corner, tuple(sorted(edges.elements())))
     if f.evaluate() != I:
         raise AssertionError("edge counts do not recombine to the input")

@@ -544,6 +544,37 @@ class TestFactorAtoms:
         assert joint.examined == alone.examined > 0
 
 
+    @pytest.mark.parametrize("factors, examined, unique", [
+        (["x,y,z^2", "x^2,y,z"], 11, True),
+        (["x,y,z^2", "x^2,y,z", "x,y^2,z"], 28, False),
+        (["x^2,y^3,z^5", "x^3,y^2,z^7", "x^5,y^7,z^2"], 28, True)],
+        ids=["two-atoms", "not-unique", "three-simplices"])
+    def test_3d_split_against_oracles(self, factors, examined, unique,
+                                      monkeypatch):
+        # a composite monomial-free R that no theorem reads is split at the
+        # first proper divisor the search yields (_proper_split); the
+        # answer is one of the exhaustive search's (6 and 10 generators)
+        # or all_factorizations' one (37 generators), its units are
+        # pinned, and a budget one unit lower raises
+        parts = [integral_closure(parse_ideal(f)) for f in factors]
+        I = fold(parts, 3)
+        splits = []
+        proper_split = monoid._proper_split
+        monkeypatch.setattr(monoid, "_proper_split", lambda R, budget: (
+            splits.append(proper_split(R, budget)) or splits[-1]))
+        budget = SearchBudget(None)
+        atoms = factor_atoms(I, budget=budget).atoms
+        assert budget.examined == examined
+        assert any(split is not None for split in splits)
+        oracle = (all_factorizations(I) if len(I.gens) > 10
+                  else factorizations_by_search(I))
+        assert atoms in oracle and (len(oracle) == 1) == unique
+        if unique:
+            assert atoms == tuple(sorted(parts, key=lambda a: a.gens))
+        with pytest.raises(BudgetExceededError):
+            factor_atoms(I, budget=SearchBudget(examined - 1))
+
+
 class TestRejectsUnclosed:
     """Queries on an ideal outside the monoid raise before any search."""
 
@@ -642,6 +673,35 @@ class TestAllFactorizations:
             (ideal((0, 1, 0)), ideal((1, 0, 0)), ideal((1, 0, 0)), J1),
             key=lambda a: a.gens))}
         assert joint.examined == alone.examined == 13
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        """The ideals _atom_power reads, in order."""
+        reads = []
+        atom_power = monoid._atom_power
+        monkeypatch.setattr(monoid, "_atom_power",
+                            lambda R: reads.append(R) or atom_power(R))
+        return reads
+
+    def test_no_read_before_closedness(self, monkeypatch):
+        # R is read (_atom_power) only after I's closedness check
+        reads = self.count_reads(monkeypatch)
+        with pytest.raises(NotIntegrallyClosedError,
+                           match="ideal must be integrally closed"):
+            all_factorizations(ideal((4, 0, 0), (0, 4, 0), (0, 0, 4),
+                                     (1, 1, 1)))
+        assert reads == []
+
+    def test_reads_r_once(self, monkeypatch):
+        # I is split once, and its R read once, not again by a second split
+        reads = self.count_reads(monkeypatch)
+        C = integral_closure(parse_ideal("x^4,y^4,z^4"))
+        x = ideal((1, 0, 0))
+        for I, primes in ((C, ()), (star(x, C), (x,))):
+            reads.clear()
+            assert all_factorizations(I) == {
+                tuple(sorted(primes + (M3,) * 4, key=lambda a: a.gens))}
+            assert reads == [C]
 
     def test_lipman_walks_few_candidates(self):
         # the divisor search reads every divisor off the dividend's one

@@ -3,7 +3,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -313,6 +313,28 @@ class TestMinkSum:
         I = ideal((2, 0), (0, 1))
         J = ideal((1, 1), (3, 0))
         assert np_equal(np_of(product(I, J)), mink_sum(np_of(I), np_of(J)))
+
+    def test_negative_and_lifted_points_against_lp_oracle(self):
+        # a polyhedron's points may be negative (a d >= 3 hull lifts p to
+        # (p, -sum(p))), so the sums are minimalized as points, not as an
+        # ideal's generators; the vertices against the LP's of every sum
+        P = NewtonPolyhedron(2, ((-1, 0), (0, -1)))
+        assert vertices(mink_sum(P, P)) == {(-2, 0), (0, -2)}
+        rng = random.Random(43)
+        for dim in (2, 3):
+            for lifted in (False, True):
+                for _ in range(25):
+                    sets = [[tuple(rng.randint(-3, 3) for _ in range(dim))
+                             for _ in range(rng.randint(1, 4))]
+                            for _ in range(2)]
+                    if lifted:
+                        sets = [[p + (-sum(p),) for p in pts] for pts in sets]
+                    d = len(sets[0][0])
+                    P, Q = (NewtonPolyhedron(d, tuple(pts)) for pts in sets)
+                    sums = {tuple(map(add, p, q))
+                            for p in sets[0] for q in sets[1]}
+                    assert vertices(mink_sum(P, Q)) == vertices_lp(
+                        list(sums)), sets
 
     def test_points_are_product_generators(self):
         rng = random.Random(12)

@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from math import gcd
 
 import pytest
@@ -70,6 +71,22 @@ class TestHull:
     def test_polytope_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
             IntegralPolytope(2, ((0, 0), (1,)))
+
+    @pytest.mark.parametrize("point", [
+        (1.5, 0), (1.0, 0), (True, 0), (0, False), (1.5, 0, 0), (0, 0, True)],
+        ids=["float", "integral-float", "bool-equal-to-a-vertex", "false",
+             "float-3d", "bool-3d"])
+    def test_rejects_non_integer_points(self, point):
+        # every input point is checked before repeats merge, so (True, 0)
+        # beside (1, 0) is caught, and the error names the point as given,
+        # not the lifted one a d >= 3 reduction builds
+        dim = len(point)
+        pts = [point] + [tuple(int(i == k) for i in range(dim))
+                         for k in range(dim)] + [(0,) * dim]
+        message = re.escape(f"non-integer coordinate in point {point}")
+        for build in (hull, lambda pts, dim: IntegralPolytope(dim, pts)):
+            with pytest.raises(ValueError, match=message):
+                build(pts, dim)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_against_lp_oracle(self, dim):
