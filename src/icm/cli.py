@@ -13,10 +13,10 @@ import os
 import sys
 
 from .errors import BudgetExceededError, IdealParseError
-from .ideals import MonomialIdeal, colon, ord_valuation
-from .monoid import (DEFAULT_BUDGET, _require_closed, all_factorizations,
-                     divides, factor_atoms, is_star_irreducible, star)
-from .newton import integral_closure, is_integrally_closed
+from .ideals import MonomialIdeal, _check_dims, colon, ord_valuation
+from .monoid import (DEFAULT_BUDGET, _quotient, all_factorizations,
+                     factor_atoms, is_star_irreducible, star)
+from .newton import _require_closed, integral_closure, is_integrally_closed
 from .parsing import (ideal_from_document, ideal_to_document, parse_ideal,
                       parse_points)
 
@@ -118,10 +118,10 @@ def _cmd_irreducible(I, args):
 
 
 def _cmd_divides(I, J, args):
+    # monoid.divides, with each ideal's closedness reported by name
     _require_closed(I, "divisor")
-    K = divides(I, J, budget=args.budget)
-    if K is None:  # also None for a J that is not closed: its own error
-        _require_closed(J, "dividend")
+    _check_dims(I, J)
+    K = _quotient(I, J, _require_closed(J, "dividend"))
     return {"divides": K is not None,
             "cofactor": ideal_to_document(K) if K is not None else None}
 

@@ -14,16 +14,17 @@ Minkowski sum adds both.  So a star is built from the summed reading
 (star), R's one factorization (Zariski) is read off the edges, c copies
 of closure(x^a, y^b) per edge of step (a, b) and length c, and
 divisibility and the cofactor are a comparison and a difference of two
-readings (divides).  One owner reads closedness for every query
-(_require_closed); in 2D the same reading gives the corner and edges.
-The three factorization queries take one split of I off it (_split):
-the corner, the 2D edges and R.  factor_atoms and all_factorizations
-build its atoms by one builder (_atoms), and is_star_irreducible counts
-them.  In other dimensions a divisor J of I has only I's facet normals,
-and each vertex of NP(I) is a vertex of NP(J) plus one of the
-cofactor's: divisibility and the cofactor are read off I's one facet
-description (_Dividend).  A closed divisor J is fixed by its support
-vector h_J, its least values on I's facet normals c, since NP(J) =
+readings (divides).  One owner proves every query's input closed
+(newton._require_closed); in 2D the same reading gives the corner and
+edges.  The three factorization queries take one split of I off it
+(_split): the corner, the 2D edges and R, whose closedness stands for
+I's.  factor_atoms and all_factorizations build its atoms by one builder
+(_atoms), and is_star_irreducible counts them.  In other dimensions a
+divisor J of I has only I's facet normals, and each vertex of NP(I) is a
+vertex of NP(J) plus one of the cofactor's: divisibility and the
+cofactor are read off I's one facet description (_Dividend).  A closed
+divisor J is fixed by its support vector h_J, its least values on I's
+facet normals c, since NP(J) =
 {x >= 0 : c.x >= h_J(c)} =: P(h_J); and h_{J*K} = h_J + h_K, since
 least values add under Minkowski sums.  The vectors lie in NP(I)'s type
 cone (McMullen 1973), where P(g) + P(h) = P(g + h), so for divisors J
@@ -63,9 +64,9 @@ from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
 from .newton import (_closed_from_counts, _closed_from_edges,
-                     _closed_reading, _closure_of_points, _descending_edges,
-                     _facet_inequalities, _lattice_ideal, _vertex_slacks,
-                     is_integrally_closed)
+                     _closure_of_points, _descending_edges,
+                     _facet_inequalities, _lattice_ideal, _require_closed,
+                     _vertex_slacks, is_integrally_closed)
 
 DEFAULT_BUDGET = 500_000
 
@@ -344,20 +345,6 @@ class _Dividend:
         yield from rec(0, q, [0] * dim, list(verts[0]))
 
 
-def _require_closed(I, name="ideal"):
-    """The one reading of I's closedness that the monoid queries take: in
-    2D the corner and descending edges of its Newton polygon, which give
-    the test too (newton._closed_reading), in other dimensions True
-    (is_integrally_closed).  The monoid's elements are the closed ideals,
-    and a search over anything else would answer silently for an ideal
-    outside it, so an I that is not closed raises NotIntegrallyClosedError
-    naming it as name."""
-    reading = _closed_reading(I.gens) if I.dim == 2 else is_integrally_closed(I)
-    if not reading:
-        raise NotIntegrallyClosedError(f"{name} must be integrally closed")
-    return reading
-
-
 def _prime_copies(m):
     """The m_i copies of each prime (x_i) in I = x^m·R, m being I's
     corner (normalize_translation gives it with R): one ideal per variable
@@ -373,8 +360,8 @@ def _prime_copies(m):
 
 def _split(I):
     """A closed I as x^m·R, read once with its closedness
-    (_require_closed): the corner m, the edges and R, None for the unit.
-    Every factorization of I is m's prime copies plus one of R
+    (newton._require_closed): the corner m, the edges and R, None for the
+    unit.  Every factorization of I is m's prime copies plus one of R
     (_prime_copies).
 
     In 2D, R is read off the Newton polygon as its descending edges, a
@@ -383,11 +370,14 @@ def _split(I):
     A Minkowski sum merges edges by slope, so that product's NP is NP(R);
     a polygon whose one edge is primitive has no lattice summands but
     itself and a point, so each is an atom.  In other dimensions the edges
-    are {} and R is normalize_translation's."""
-    reading = _require_closed(I)
+    are {} and R is normalize_translation's.  Closure commutes with the
+    shift, closure(x^m·R) = x^m·closure(R), so I is closed iff R is: R's
+    closedness is proved, and its one facet description serves the proof,
+    _atom_power and _Dividend."""
     if I.dim == 2:
-        return (*reading, None)
+        return (*_require_closed(I), None)
     R, corner = normalize_translation(I)
+    _require_closed(R)
     return corner, {}, None if R.is_unit else R
 
 
@@ -473,31 +463,35 @@ def _atoms(corner, edges, R, budget, read=None):
 def divides(I, J, budget=DEFAULT_BUDGET):
     """The unique K with star(I, K) == J, or None.
 
-    Every star product is closed, so a J that is not has no divisor: J's
-    closedness is read as _require_closed reads it, with no error raised.
-    In two variables that reading is J's corner and descending edges.  A
-    Minkowski sum merges edges by slope, so NP(I) + NP(K) = NP(J) iff the
-    corners add and edges(I) + edges(K) = edges(J) as multisets: K's corner
-    and edges are J's less I's, and K is built from them
-    (newton._closed_from_edges).  Other dimensions read K off J's facets
-    and vertices (see _Dividend).  By cancellation K is J : I either way,
-    and no colon, product or search runs.  I need not be closed.  The
-    budget keyword is kept because callers pass one to every monoid query;
-    it is never spent.
+    Every star product is closed, so a J that is not has no divisor: J is
+    proved closed by newton._require_closed, its error taken for None, and
+    the answer read off what that proof read (_quotient).  By cancellation
+    K is J : I, and no colon, product or search runs.  I need not be
+    closed.  The budget keyword is kept because callers pass one to every
+    monoid query; it is never spent.
     """
     _check_dims(I, J)
+    try:
+        return _quotient(I, J, _require_closed(J))
+    except NotIntegrallyClosedError:
+        return None
+
+
+def _quotient(I, J, reading):
+    """divides' answer for a closed J of I's dimension, reading being
+    _require_closed(J); no closedness test runs.  In two variables the
+    reading is J's corner and descending edges.  A Minkowski sum merges
+    edges by slope, so NP(I) + NP(K) = NP(J) iff the corners add and
+    edges(I) + edges(K) = edges(J) as multisets: K's corner and edges are
+    J's less I's, and K is built from them (newton._closed_from_edges).
+    Other dimensions read K off J's facets and vertices (see _Dividend)."""
     if I.dim == 2:
-        reading = _closed_reading(J.gens)
-        if reading is None:
-            return None
         (jx, jy), edges = reading
         (ix, iy), have = _descending_edges(I.gens)
         if ix > jx or iy > jy or not have <= edges:
             return None
         return _closed_from_edges((jx - ix, jy - iy), [
             (e, c - have[e]) for e, c in edges.items() if c > have[e]])
-    if not is_integrally_closed(J):
-        return None
     dividend = _Dividend(J)
     h = dividend.support(I)
     return None if h is None else dividend.cofactor(h)

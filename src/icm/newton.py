@@ -25,10 +25,10 @@ of a divisor's facets) is built by _lattice_ideal and skips
 MonomialIdeal's checks.  Closedness walks the box only for d != 2:
 a 2D ideal is closed iff its box complement's inner corners lie outside
 NP, a test of each on the facets.  The edge reading gives those facets
-too, so a closed 2D ideal's corner, edges and closedness are one reading
-(_closed_reading), which monoid's divides and 2D factorization take.  The
-tests check the description against an independent rational LP and a
-rank test of each facet.
+too, so a closed 2D ideal's corner, edges and closedness are one reading.
+_require_closed owns every monoid query's proof that its input is
+closed, and returns that reading in 2D.  The tests check the description
+against an independent rational LP and a rank test of each facet.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from itertools import product as iter_product
 from math import gcd, inf, lcm
 from operator import mul
 
+from .errors import NotIntegrallyClosedError
 from .ideals import (_Record, _check_dims, _check_integral, _check_points,
                      _minimal, _sorted_antichain, generator_box, staircase)
 
@@ -363,15 +364,6 @@ def _closed_2d(gens, facets):
                    for (_, y), (x, _) in zip(gens, gens[1:]))
 
 
-def _closed_reading(gens):
-    """The corner and descending edges of a closed 2D ideal's sorted
-    generators (_descending_edges), or None if the ideal is not closed: its
-    closedness test (_closed_2d) takes its facets from the same reading
-    (_edge_facets), so the polygon is read once."""
-    reading = _descending_edges(gens)
-    return reading if _closed_2d(gens, _edge_facets(*reading)) else None
-
-
 def is_integrally_closed(I):
     """Each generator of the closure is one of I.
 
@@ -388,3 +380,20 @@ def is_integrally_closed(I):
         return _closed_2d(I.gens, facets)
     gens = set(I.gens)
     return all(p in gens for p in lattice_generators(facets, generator_box(I)))
+
+
+def _require_closed(I, name="ideal"):
+    """The one proof that a monoid query's input I is closed, with what it
+    read: in 2D the corner and descending edges of I's Newton polygon
+    (_descending_edges), whose facets (_edge_facets) give the closedness
+    test, so the polygon is read once; in other dimensions True
+    (is_integrally_closed).  The monoid's elements are the closed ideals,
+    and a query on anything else would answer silently for an ideal
+    outside it, so an I that is not closed raises NotIntegrallyClosedError
+    naming it as name."""
+    reading = _descending_edges(I.gens) if I.dim == 2 else True
+    closed = (_closed_2d(I.gens, _edge_facets(*reading)) if I.dim == 2
+              else is_integrally_closed(I))
+    if not closed:
+        raise NotIntegrallyClosedError(f"{name} must be integrally closed")
+    return reading

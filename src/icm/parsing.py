@@ -23,11 +23,21 @@ _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"
                     r"|(?P<one>1)|(?P<zero>0))(?:\s*(?P<caret>\^)\s*$)?")
 
 
+def _read_int(digits, what, at):
+    """int(digits), or an IdealParseError naming what at offset at when
+    they are more digits than int() reads."""
+    try:
+        return int(digits)
+    except ValueError as ex:
+        raise IdealParseError(f"{what} is too long: {ex}", at) from None
+
+
 def _parse_generator(text, offset, dim):
     """One monomial -> dict var_index -> exponent, empty for the unit.
     Each '*'-separated piece is matched once against _TOKEN; an error is
-    reported at the offset of what is wrong in it.  Unless dim is None, a
-    variable of index above dim is an error at its offset."""
+    reported at the offset of what is wrong in it, an exponent or index
+    too long to read included.  Unless dim is None, a variable of index
+    above dim is an error at its offset."""
     powers = {}
     pieces = text.split("*")
     start = offset
@@ -42,15 +52,18 @@ def _parse_generator(text, offset, dim):
                                   start + m.start("zero"))
         var = m.group("var")
         if var:
-            index = _ALIASES[var] if var in _ALIASES else int(var[1:])
             at = start + m.start("var")
+            index = (_ALIASES[var] if var in _ALIASES
+                     else _read_int(var[1:], "variable index", at))
             if index < 1:
                 raise IdealParseError(
                     f"variable index must be >= 1, got {var}", at)
             if dim is not None and index > dim:
                 raise IdealParseError(
                     f"variable index {index} exceeds dimension {dim}", at)
-            powers[index] = powers.get(index, 0) + int(m.group("exp") or 1)
+            exp = m.group("exp")
+            powers[index] = powers.get(index, 0) + (_read_int(
+                exp, "exponent", start + m.start("exp")) if exp else 1)
         if m.group("caret"):
             raise IdealParseError("expected an exponent after '^'",
                                   start + m.start("caret"))

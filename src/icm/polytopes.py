@@ -20,9 +20,9 @@ from math import gcd
 from .errors import DimensionMismatchError
 from .ideals import (_Record, _check_dims, _check_integral, minimalize,
                      normalize_translation, unit_ideal)
-from .monoid import _as_budget, _require_closed, star
-from .newton import (NewtonPolyhedron, _closed_from_counts, convex_chain,
-                     integral_closure, vertices)
+from .monoid import _as_budget, star
+from .newton import (NewtonPolyhedron, _closed_from_counts, _require_closed,
+                     convex_chain, integral_closure, vertices)
 
 
 class IntegralPolytope(_Record):
@@ -423,7 +423,7 @@ def colon_factorization_2d(I):
     closures of (x^a, y^b), read off its Newton polygon: the corner is the
     monomial, and each descending edge (a, -b) of lattice length c gives c
     copies of (a, b).  The polygon is read once, its closedness with it
-    (monoid._require_closed).
+    (newton._require_closed).
 
     phi sends Segment(-a, b) with a, b > 0 to the class of
     closure(x^a, y^b) and every other basis element to the identity

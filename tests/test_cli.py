@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from icm import cli
+from icm import cli, newton
 from icm.cli import main
 from icm.parsing import ideal_from_document, ideal_to_document
 from icm.properties import run_suites
@@ -218,6 +218,41 @@ class TestExitCodes:
         code, out = run(capsys, "divides", "x^2,y^2", "x^3,y^3")
         assert (code, out) == (
             2, {"error": "divisor must be integrally closed"})
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2-3", "3-2"])
+    def test_divides_documents_of_two_dimensions(self, capsys, tmp_path,
+                                                 dims):
+        # --json keeps each document's vars, so divides checks them
+        paths = []
+        for d in dims:
+            paths.append(str(tmp_path / f"maximal{d}.json"))
+            Path(paths[-1]).write_text(json.dumps({"vars": d, "gens": [
+                [int(i == j) for j in range(d)] for i in range(d)]}))
+        code, out = run(capsys, "--json", "divides", *paths)
+        assert (code, out) == (
+            2, {"error": "dimensions differ: %d vs %d" % dims})
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^" + "9" * 5000, 2), ("x" + "9" * 5000, 0)],
+        ids=["exponent", "index"])
+    def test_overlong_number_is_a_parse_error(self, capsys, text, position):
+        # more digits than int() reads: exit 1 at the number, not exit 2
+        code, out = run(capsys, "closure", text)
+        assert (code, out["position"]) == (1, position)
+        assert "is too long" in out["error"]
+
+    @pytest.mark.parametrize("left, right", [
+        ("x^2,y", "x,y^3"), ("x,y", "x^2,x*y,y^2")])
+    def test_divides_tests_each_ideal_once(self, capsys, monkeypatch, left,
+                                           right):
+        # one 2D closedness test per ideal, whatever the answer
+        tests = []
+        closed_2d = newton._closed_2d
+        monkeypatch.setattr(newton, "_closed_2d",
+                            lambda *a: tests.append(a) or closed_2d(*a))
+        code, out = run(capsys, "divides", left, right)
+        assert code == 0
+        assert len(tests) == 2
 
     def test_unreadable_json_document(self, capsys, tmp_path):
         code, out = run(capsys, "--json", "closure",

@@ -284,6 +284,14 @@ class TestDivides:
         with pytest.raises(DimensionMismatchError):
             divides_by_colon(M2, ideal((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
+    def test_dimensions_checked_before_closedness(self):
+        # a J of another dimension is a mismatch even when it is not
+        # closed, which alone would give None
+        J = ideal((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        assert not is_integrally_closed(J)
+        with pytest.raises(DimensionMismatchError):
+            divides(M2, J)
+
 
 def draw_2d(rng):
     """A seeded 2D ideal: the unit, a principal ideal, a thin (x^N, y^k)
@@ -584,7 +592,8 @@ class TestRejectsUnclosed:
     @pytest.mark.parametrize("I", [
         ideal((2, 0), (0, 2)),
         ideal((4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)),
-    ], ids=["x2-y2", "x4-y4-z4-xyz"])
+        ideal((5, 0, 0), (1, 4, 0), (1, 0, 4), (2, 1, 1)),
+    ], ids=["x2-y2", "x4-y4-z4-xyz", "x-times-x4-y4-z4-xyz"])
     def test_raises_without_search(self, fn, I):
         assert not is_integrally_closed(I)
         budget = SearchBudget(None)
@@ -702,6 +711,25 @@ class TestAllFactorizations:
             assert all_factorizations(I) == {
                 tuple(sorted(primes + (M3,) * 4, key=lambda a: a.gens))}
             assert reads == [C]
+
+    def test_one_facet_description_with_a_monomial_factor(self,
+                                                          monkeypatch):
+        # I = x·R is proved closed through R, so R's one double
+        # description serves the proof, _atom_power and _Dividend
+        C = integral_closure(parse_ideal("x^4,y^4,z^4,x*y*z"))
+        x = ideal((1, 0, 0))
+        I = star(x, C)
+        runs = []
+        double_description = newton._double_description
+        monkeypatch.setattr(newton, "_double_description",
+                            lambda *a: runs.append(a) or
+                            double_description(*a))
+        for fn, answer in ((lambda I: factor_atoms(I).atoms, (C, x)),
+                           (all_factorizations, {(C, x)})):
+            _facet_inequalities.cache_clear()
+            runs.clear()
+            assert fn(I) == answer
+            assert len(runs) == 1
 
     def test_lipman_walks_few_candidates(self):
         # the divisor search reads every divisor off the dividend's one

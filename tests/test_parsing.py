@@ -90,6 +90,17 @@ class TestParseErrors:
             parse_ideal(text, dim=dim)
         assert exc.value.args == (message, position)
 
+    @pytest.mark.parametrize("text, what, position", [
+        ("x^" + "9" * 5000, "exponent", 2),
+        ("x" + "9" * 5000, "variable index", 0)], ids=["exponent", "index"])
+    def test_too_long_to_read(self, text, what, position):
+        """An exponent or variable index with more digits than int() reads
+        is a parse error at its own offset."""
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal(text)
+        assert exc.value.position == position
+        assert exc.value.args[0].startswith(f"{what} is too long: ")
+
     def test_zero_monomial(self):
         with pytest.raises(IdealParseError):
             parse_ideal("0")
