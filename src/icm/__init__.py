@@ -15,16 +15,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("BudgetExceededError", "DimensionMismatchError",
                "IdealParseError", "NotIntegrallyClosedError",
-               "NotStarMultipleError"),
+               "NotStarMultipleError", "SearchBudget"),
     "ideals": ("MonomialIdeal", "colon", "contains", "intersection",
                "minimalize", "normalize_translation", "ord_valuation",
                "principal_ideal", "product", "translate", "unit_ideal"),
     "newton": ("NewtonPolyhedron", "integral_closure", "is_integrally_closed",
                "member", "mink_sum", "np_equal", "np_of", "reduce_points",
                "vertices"),
-    "monoid": ("Factorization", "SearchBudget", "all_factorizations",
-               "divides", "factor_atoms", "is_star_irreducible",
-               "quotient_cancel", "star", "star_power"),
+    "monoid": ("Factorization", "all_factorizations", "divides",
+               "factor_atoms", "is_star_irreducible", "quotient_cancel",
+               "star", "star_power"),
     "polytopes": ("BasisElement", "ColonFactorization", "IdealClassElement",
                   "IntegralPolytope", "PolytopeGroupElement", "basis_segment",
                   "basis_triangle", "class_equal", "class_equal_ideal",

@@ -12,16 +12,16 @@ import json
 import os
 import sys
 
-from .errors import BudgetExceededError, IdealParseError
-from .ideals import MonomialIdeal, _check_dims, colon, ord_valuation
-from .monoid import (DEFAULT_BUDGET, _quotient, all_factorizations,
-                     factor_atoms, is_star_irreducible, star)
-from .newton import _require_closed, integral_closure, is_integrally_closed
+from .errors import DEFAULT_BUDGET, BudgetExceededError, IdealParseError
+from .ideals import MAX_DIM, MonomialIdeal, _check_dims, colon, ord_valuation
 from .parsing import (ideal_from_document, ideal_to_document, parse_ideal,
                       parse_points)
 
-# polytopes and properties are imported by the commands that use them, so
-# the other commands' processes never load them.
+# newton, monoid, polytopes and properties are imported by the commands
+# that use them, so the other commands' processes never load them: ord,
+# colon and every parse error load neither newton nor monoid, and only
+# star, factor, factorizations, irreducible?, divides, verify and props
+# load monoid.
 
 
 def _jsonable(value):
@@ -63,13 +63,16 @@ def _load_ideals(args):
         dim, tuple(g + (0,) * (dim - K.dim) for g in K.gens)) for K in (I, J))
 
 
-def _int_at_least(low):
-    """An argparse type: an integer >= low."""
+def _int_in(low, high=None):
+    """An argparse type: an integer >= low, and <= high unless it is None."""
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer <= {high}, got {text!r}")
         return value
     return integer
 
@@ -80,14 +83,17 @@ def _int_at_least(low):
 
 
 def _cmd_closure(I, args):
+    from .newton import integral_closure
     return ideal_to_document(integral_closure(I))
 
 
 def _cmd_closed(I, args):
+    from .newton import is_integrally_closed
     return {"closed": is_integrally_closed(I)}
 
 
 def _cmd_star(I, J, args):
+    from .monoid import star
     return ideal_to_document(star(I, J))
 
 
@@ -100,6 +106,8 @@ def _cmd_colon(I, J, args):
 
 
 def _cmd_factor(I, args):
+    from .monoid import factor_atoms
+    from .newton import integral_closure
     f = factor_atoms(integral_closure(I), budget=args.budget)
     return {"base": ideal_to_document(f.base),
             "atoms": [ideal_to_document(a) for a in f.atoms],
@@ -107,6 +115,8 @@ def _cmd_factor(I, args):
 
 
 def _cmd_factorizations(I, args):
+    from .monoid import all_factorizations
+    from .newton import integral_closure
     results = all_factorizations(integral_closure(I), budget=args.budget)
     ordered = sorted(results, key=lambda fz: [a.gens for a in fz])
     return {"count": len(results), "factorizations": [
@@ -114,11 +124,14 @@ def _cmd_factorizations(I, args):
 
 
 def _cmd_irreducible(I, args):
+    from .monoid import is_star_irreducible
     return {"irreducible": is_star_irreducible(I, budget=args.budget)}
 
 
 def _cmd_divides(I, J, args):
     # monoid.divides, with each ideal's closedness reported by name
+    from .monoid import _quotient
+    from .newton import _require_closed
     _require_closed(I, "divisor")
     _check_dims(I, J)
     K = _quotient(I, J, _require_closed(J, "dividend"))
@@ -153,6 +166,7 @@ def _cmd_colon_factor(I, args):
 
 
 def _cmd_verify(args):
+    from .monoid import all_factorizations, star
     m = parse_ideal("x,y,z")
     J1 = parse_ideal("x^3,y^3,z^3,x*y,x*z,y*z")
     J1p = parse_ideal("x^2,y,z")
@@ -186,16 +200,21 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser():
+def build_parser(tokens):
+    """The command line's parser for tokens, the arguments it is to
+    parse.  It builds only the subparsers of the commands they name and
+    lists every other command by name alone, so help, an unknown command
+    and a missing one read as with every subparser built."""
     parser = _Parser(
         prog="icm",
         description="Exact arithmetic in the monoid of integrally closed "
                     "monomial ideals, and the 2D integral polytope group.")
-    parser.add_argument("--dim", type=_int_at_least(1), default=None,
-                        help="ambient dimension (default: inferred)")
+    parser.add_argument("--dim", type=_int_in(1, MAX_DIM), default=None,
+                        help="ambient dimension, at most "
+                             f"{MAX_DIM} (default: inferred)")
     # A string default, here ICM_BUDGET's, goes through the type only when
     # the flag is absent.
-    parser.add_argument("--budget", type=_int_at_least(0),
+    parser.add_argument("--budget", type=_int_in(0),
                         default=os.environ.get("ICM_BUDGET", DEFAULT_BUDGET),
                         help="budget for factorization searches and "
                              "decompose2d's reconstruction check "
@@ -204,19 +223,37 @@ def build_parser():
                         help="treat ideal arguments as IdealDocument "
                              "JSON file paths")
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(tokens)
+
+    def add(name, aliases=()):
+        """name's subparser, or None when no token names the command:
+        then its names are listed among the choices with no parser.
+
+        This leans on argparse's internals: sub.choices is the very dict
+        that maps a command name to its parser, and argparse reads a
+        value of it only for the name a token gives, which is always one
+        built here.  Help and the invalid-choice message read its keys
+        alone.  tests/test_cli.py's TestParser pins this on each Python
+        the CI runs."""
+        names = (name, *aliases)
+        if named.isdisjoint(names):
+            sub.choices.update(dict.fromkeys(names))
+            return None
+        p = sub.add_parser(name, aliases=list(aliases))
+        p.set_defaults(canonical=name)
+        return p
 
     def one_ideal(name, fn, aliases=()):
-        p = sub.add_parser(name, aliases=list(aliases))
-        p.add_argument("ideal")
-        p.set_defaults(fn=lambda args: fn(_load_ideal(args.ideal, args), args),
-                       canonical=name)
+        if p := add(name, aliases):
+            p.add_argument("ideal")
+            p.set_defaults(
+                fn=lambda args: fn(_load_ideal(args.ideal, args), args))
 
     def two_ideals(name, fn, aliases=()):
-        p = sub.add_parser(name, aliases=list(aliases))
-        p.add_argument("left")
-        p.add_argument("right")
-        p.set_defaults(fn=lambda args: fn(*_load_ideals(args), args),
-                       canonical=name)
+        if p := add(name, aliases):
+            p.add_argument("left")
+            p.add_argument("right")
+            p.set_defaults(fn=lambda args: fn(*_load_ideals(args), args))
 
     one_ideal("closure", _cmd_closure)
     one_ideal("closed?", _cmd_closed, aliases=["closed"])
@@ -228,34 +265,38 @@ def build_parser():
     one_ideal("irreducible?", _cmd_irreducible, aliases=["irreducible"])
     two_ideals("divides", _cmd_divides)
 
-    p = sub.add_parser("decompose2d")
-    p.add_argument("pos", help="positive part, e.g. '0,0; 1,0; 0,1'")
-    p.add_argument("neg", nargs="?", default=None,
-                   help="optional negative part, same syntax")
-    p.set_defaults(fn=_cmd_decompose2d, canonical="decompose2d")
+    if p := add("decompose2d"):
+        p.add_argument("pos", help="positive part, e.g. '0,0; 1,0; 0,1'")
+        p.add_argument("neg", nargs="?", default=None,
+                       help="optional negative part, same syntax")
+        p.set_defaults(fn=_cmd_decompose2d)
 
-    p = sub.add_parser("phi")
-    p.add_argument("points", help="polytope points, e.g. '2,0; 0,3'")
-    p.set_defaults(fn=_cmd_phi, canonical="phi")
+    if p := add("phi"):
+        p.add_argument("points", help="polytope points, e.g. '2,0; 0,3'")
+        p.set_defaults(fn=_cmd_phi)
 
     one_ideal("colon-factor", _cmd_colon_factor)
 
-    p = sub.add_parser("verify")
-    p.add_argument("what", choices=["lipman"], help="verification target")
-    p.set_defaults(fn=_cmd_verify, canonical="verify")
+    if p := add("verify"):
+        p.add_argument("what", choices=["lipman"],
+                       help="verification target")
+        p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("props")
-    p.add_argument("suites", nargs="*", help="suite names (default: all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=_int_at_least(0), default=200)
-    p.set_defaults(fn=_cmd_props, canonical="props")
+    if p := add("props"):
+        p.add_argument("suites", nargs="*",
+                       help="suite names (default: all)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cases", type=_int_in(0), default=200)
+        p.set_defaults(fn=_cmd_props)
 
     return parser
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         raw_input_args = {k: v for k, v in vars(args).items()
                           if k not in ("fn", "canonical", "command")}
         result = args.fn(args)

@@ -58,8 +58,8 @@ from itertools import combinations, product as iter_product
 from math import gcd
 from operator import add, le, mul, sub
 
-from .errors import (BudgetExceededError, NotIntegrallyClosedError,
-                     NotStarMultipleError)
+from .errors import (DEFAULT_BUDGET, NotIntegrallyClosedError,
+                     NotStarMultipleError, _as_budget)
 from .ideals import (_Record, _check_dims, box_points, contains,
                      dominates, generator_box, minimalize,
                      normalize_translation, ord_valuation, principal_ideal)
@@ -67,36 +67,6 @@ from .newton import (_closed_from_counts, _closed_from_edges,
                      _closure_of_points, _descending_edges,
                      _facet_inequalities, _lattice_ideal, _require_closed,
                      _vertex_slacks, is_integrally_closed)
-
-DEFAULT_BUDGET = 500_000
-
-
-class SearchBudget:
-    """One unit per map of a divisor search (a node of its depth-first
-    search) and per divisor it yields; closed_supersets: per candidate;
-    decompose_2d: one unit per basis copy.  Atoms read off by a theorem
-    are charged by one rule (_spend_atoms): a reading that gives one atom,
-    or none, is free, and one that gives more costs one unit per atom,
-    each a spend(), so a budget it exceeds stops at limit + 1.  A reading
-    is a 2D ideal's edges, all of them together, or one dilated simplex
-    (_atom_power).  The copies of each (x_i) are free.  _atoms charges by
-    this rule, and so does is_star_irreducible, which charges nothing for
-    an I with a monomial factor, answered off its corner alone."""
-
-    def __init__(self, limit):
-        self.limit = limit
-        self.examined = 0
-
-    def spend(self, n=1):
-        self.examined += n
-        if self.limit is not None and self.examined > self.limit:
-            raise BudgetExceededError(
-                f"search budget of {self.limit} exceeded",
-                examined=self.examined)
-
-
-def _as_budget(budget):
-    return budget if isinstance(budget, SearchBudget) else SearchBudget(budget)
 
 
 def star(I, J):

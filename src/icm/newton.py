@@ -60,6 +60,18 @@ class NewtonPolyhedron(_Record):
         object.__setattr__(self, "points", points)
 
 
+def _polyhedron(dim, points):
+    """The polyhedron of points, with no check run.
+
+    Only for a tuple of integer tuples of length dim that the caller has
+    checked: IntegralPolytope's lift of its checked points, whose dim may
+    exceed MAX_DIM by one, since the cap is the polytope's own."""
+    P = object.__new__(NewtonPolyhedron)
+    object.__setattr__(P, "dim", dim)
+    object.__setattr__(P, "points", points)
+    return P
+
+
 def np_of(I):
     """Newton polyhedron of a monomial ideal; the generators support it."""
     return NewtonPolyhedron(I.dim, I.gens)

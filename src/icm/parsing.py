@@ -3,7 +3,8 @@
 Grammar for ideals: generators separated by commas; a generator is a
 '*'-separated list of factors `x<i>` or `x<i>^<n>`, with aliases x, y, z, w
 for the first four variables; `1` is the unit generator.  The ambient
-dimension is the largest variable index seen unless given explicitly.
+dimension is the largest variable index seen unless given explicitly,
+and at most ideals.MAX_DIM either way.
 
 Each generator is split on '*' and each piece matched once, so a syntax
 error is reported at the offset of the piece, or of the text after its
@@ -16,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .errors import IdealParseError
-from .ideals import minimalize
+from .ideals import MAX_DIM, _check_dim, minimalize
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 _TOKEN = re.compile(r"\s*(?:(?P<var>x\d+|[xyzw])(?:\s*\^\s*(?P<exp>\d+))?"
@@ -36,8 +37,8 @@ def _parse_generator(text, offset, dim):
     """One monomial -> dict var_index -> exponent, empty for the unit.
     Each '*'-separated piece is matched once against _TOKEN; an error is
     reported at the offset of what is wrong in it, an exponent or index
-    too long to read included.  Unless dim is None, a variable of index
-    above dim is an error at its offset."""
+    too long to read included.  A variable of index above dim, unless dim
+    is None, or above MAX_DIM is an error at its offset."""
     powers = {}
     pieces = text.split("*")
     start = offset
@@ -61,6 +62,9 @@ def _parse_generator(text, offset, dim):
             if dim is not None and index > dim:
                 raise IdealParseError(
                     f"variable index {index} exceeds dimension {dim}", at)
+            if index > MAX_DIM:
+                raise IdealParseError(f"variable index {index} exceeds "
+                                      f"the dimension cap {MAX_DIM}", at)
             exp = m.group("exp")
             powers[index] = powers.get(index, 0) + (_read_int(
                 exp, "exponent", start + m.start("exp")) if exp else 1)
@@ -75,7 +79,10 @@ def _parse_generator(text, offset, dim):
 
 
 def parse_ideal(text, dim=None):
-    """Parse the generator grammar into a minimalized monomial ideal."""
+    """Parse the generator grammar into a minimalized monomial ideal.  A
+    dim above MAX_DIM is a ValueError, raised before any point is built."""
+    if dim is not None:
+        _check_dim(dim)
     if not text.strip():
         raise IdealParseError("empty input", 0)
     gens = []

@@ -17,11 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _as_budget
 from .ideals import (_Record, _check_dims, _check_integral, minimalize,
                      normalize_translation, unit_ideal)
-from .monoid import _as_budget, star
-from .newton import (NewtonPolyhedron, _closed_from_counts, _require_closed,
+from .newton import (_closed_from_counts, _polyhedron, _require_closed,
                      convex_chain, integral_closure, vertices)
 
 
@@ -45,8 +44,7 @@ class IntegralPolytope(_Record):
         if dim == 2:
             exact = set(convex_chain(pts)) | set(convex_chain(pts[::-1]))
         else:
-            lifted = NewtonPolyhedron(dim + 1,
-                                      tuple(p + (-sum(p),) for p in pts))
+            lifted = _polyhedron(dim + 1, tuple(p + (-sum(p),) for p in pts))
             exact = {v[:dim] for v in vertices(lifted)}
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "verts", tuple(sorted(exact)))
@@ -365,6 +363,7 @@ def ideal_class(num, den=None):
 def class_equal_ideal(a, b):
     """Equality in the quotient group: cross star-products agree up to a
     monomial factor."""
+    from .monoid import star  # the one polytopes query that loads monoid
     left = normalize_translation(star(a.num, b.den))[0]
     right = normalize_translation(star(b.num, a.den))[0]
     return left == right

@@ -10,6 +10,7 @@ import pytest
 
 from icm import cli, newton
 from icm.cli import main
+from icm.ideals import MAX_DIM
 from icm.parsing import ideal_from_document, ideal_to_document
 from icm.properties import run_suites
 
@@ -363,6 +364,106 @@ class TestExitCodes:
     def test_run_suites_rejects_unknown_name(self):
         with pytest.raises(ValueError, match="nonsense"):
             run_suites(names=["closure_laws", "nonsense"])
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (["--dim", "20000", "closure", "x,y"], 2,
+         f"argument --dim: expected an integer <= {MAX_DIM}, got '20000'"),
+        (["ord", "x,x9999999999"], 1, "variable index 9999999999 exceeds "
+         f"the dimension cap {MAX_DIM} (at position 2)"),
+        (["--json", "closure", "doc"], 1, "bad ideal document: ambient "
+         f"dimension must be <= {MAX_DIM}, got 20000 (at position 0)"),
+    ], ids=["dim-flag", "inferred", "document-vars"])
+    def test_dimension_cap_is_one_json_object(self, capsys, tmp_path,
+                                              monkeypatch, argv, code,
+                                              error):
+        # refused before anything of that length is built: --dim 20000
+        # once ended in a MemoryError traceback
+        (tmp_path / "doc").write_text(json.dumps(
+            {"vars": 20000, "gens": [[1, 0]]}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+
+
+# Every command name and alias, in the order help and errors list them.
+COMMAND_NAMES = ["closure", "closed?", "closed", "star", "ord", "colon",
+                 "factor", "factorizations", "irreducible?", "irreducible",
+                 "divides", "decompose2d", "phi", "colon-factor", "verify",
+                 "props"]
+
+
+class TestParser:
+    """main builds the subparsers of the commands its arguments name and
+    lists the others by name, so help and argument errors read as with
+    every subparser built."""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-h", "closure"]])
+    def test_help_lists_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: icm [-h] [--dim DIM] [--budget BUDGET]")
+        assert "{" + ",".join(COMMAND_NAMES) + "}" in out
+
+    def test_command_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "usage: icm closure [-h] ideal")
+
+    @pytest.mark.parametrize("argv", [["foo"], ["foo", "closure"],
+                                      ["--json", "foo", "x"]])
+    def test_unknown_command(self, capsys, argv):
+        # a later token that names a command changes nothing
+        assert main(argv) == 2
+        choices = ", ".join(map(repr, COMMAND_NAMES))
+        assert capsys.readouterr().out == json.dumps({
+            "error": "argument command: invalid choice: 'foo' "
+                     f"(choose from {choices})"}) + "\n"
+
+    @pytest.mark.parametrize("argv", [[], ["--dim", "2"]])
+    def test_missing_command(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == json.dumps({
+            "error": "the following arguments are required: command"}) + "\n"
+
+    def test_command_name_as_an_option_value(self, capsys):
+        # a global option's value is an integer, so a command name there
+        # fails its type check
+        assert main(["--budget", "closure", "closure", "x"]) == 2
+        assert capsys.readouterr().out == json.dumps({
+            "error": "argument --budget: invalid integer value: "
+                     "'closure'"}) + "\n"
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The prog of every parser built from here on."""
+        progs = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                progs.append(self.prog)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        return progs
+
+    @pytest.mark.parametrize("argv, progs", [
+        (["closure", "x"], ["icm", "icm closure"]),
+        (["--dim", "3", "closed", "x"], ["icm", "icm closed?"]),
+        (["star", "x", "y"], ["icm", "icm star"]),
+        (["foo"], ["icm"]), (["-h"], ["icm"])])
+    def test_one_subparser_per_command(self, capsys, built, argv, progs):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        capsys.readouterr()
+        assert built == progs
 
 
 class TestDeterminism:

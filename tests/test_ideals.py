@@ -7,13 +7,13 @@ from operator import ge, le
 
 import pytest
 
-from icm import newton
+from icm import SearchBudget, newton
 from icm.errors import DimensionMismatchError
-from icm.ideals import (MonomialIdeal, colon, contains, generator_box,
-                        intersection, minimalize, normalize_translation,
-                        ord_valuation, principal_ideal, product, staircase,
-                        translate, unit_ideal)
-from icm.monoid import SearchBudget, _Dividend, star, star_power
+from icm.ideals import (MAX_DIM, MonomialIdeal, colon, contains,
+                        generator_box, intersection, minimalize,
+                        normalize_translation, ord_valuation, principal_ideal,
+                        product, staircase, translate, unit_ideal)
+from icm.monoid import _Dividend, star, star_power
 from icm.newton import integral_closure, is_integrally_closed
 from icm.polytopes import colon_factorization_2d
 from oracles import colon_by_intersection, minimal_by_pairs
@@ -49,6 +49,13 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             MonomialIdeal(0, ((),))
         assert info.type is ValueError
+
+    def test_rejects_dimension_above_cap(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ambient dimension must be <= {MAX_DIM}, "
+                f"got {MAX_DIM + 1}")):
+            MonomialIdeal(MAX_DIM + 1, ((1,) * (MAX_DIM + 1),))
+        assert MonomialIdeal(MAX_DIM, ((1,) * MAX_DIM,)).dim == MAX_DIM
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
     def test_rejects_non_integer_exponents(self, bad):

@@ -12,8 +12,11 @@ resolves to a callable entry point.
 
 Start-up: a fresh `import icm` loads no submodule, and a fresh `import
 icm.cli` loads neither `dataclasses` nor the modules only some commands
-run (`polytopes`, `properties`, `feasibility`), while every public name
-still resolves to its home module's object.
+run (`newton`, `monoid`, `polytopes`, `properties`, `feasibility`), while
+every public name still resolves to its home module's object.  Running a
+command loads only what it runs: `ord`, `colon` and a parse error load
+neither `newton` nor `monoid`, and `closure`, `closed?`, `decompose2d`,
+`phi` and `colon-factor` do not load `monoid`.
 """
 
 import ast
@@ -248,16 +251,16 @@ def test_console_script_targets_resolve():
 PUBLIC = {
     "errors": ["BudgetExceededError", "DimensionMismatchError",
                "IdealParseError", "NotIntegrallyClosedError",
-               "NotStarMultipleError"],
+               "NotStarMultipleError", "SearchBudget"],
     "ideals": ["MonomialIdeal", "colon", "contains", "intersection",
                "minimalize", "normalize_translation", "ord_valuation",
                "principal_ideal", "product", "translate", "unit_ideal"],
     "newton": ["NewtonPolyhedron", "integral_closure", "is_integrally_closed",
                "member", "mink_sum", "np_equal", "np_of", "reduce_points",
                "vertices"],
-    "monoid": ["Factorization", "SearchBudget", "all_factorizations",
-               "divides", "factor_atoms", "is_star_irreducible",
-               "quotient_cancel", "star", "star_power"],
+    "monoid": ["Factorization", "all_factorizations", "divides",
+               "factor_atoms", "is_star_irreducible", "quotient_cancel",
+               "star", "star_power"],
     "polytopes": ["BasisElement", "ColonFactorization", "IdealClassElement",
                   "IntegralPolytope", "PolytopeGroupElement", "basis_segment",
                   "basis_triangle", "class_equal", "class_equal_ideal",
@@ -268,10 +271,10 @@ PUBLIC = {
                   "shadow"],
     "parsing": ["parse_ideal", "render_ideal"],
 }
-# polytopes and properties load only with the commands that run them,
-# feasibility only with the test oracles, dataclasses never.
-NOT_AT_CLI_START = {"dataclasses", "icm.polytopes", "icm.properties",
-                    "icm.feasibility"}
+# newton, monoid, polytopes and properties load only with the commands
+# that run them, feasibility only with the test oracles, dataclasses never.
+NOT_AT_CLI_START = {"dataclasses", "icm.newton", "icm.monoid",
+                    "icm.polytopes", "icm.properties", "icm.feasibility"}
 
 
 def modules_after(statements):
@@ -288,7 +291,7 @@ def modules_after(statements):
 
 def test_detects_a_loaded_module():
     loaded = modules_after("import dataclasses\nimport icm.polytopes")
-    assert {"dataclasses", "icm.polytopes", "icm.monoid"} <= loaded
+    assert {"dataclasses", "icm.polytopes", "icm.newton"} <= loaded
     assert "icm.polytopes" not in modules_after("pass")
     with pytest.raises(subprocess.CalledProcessError):
         modules_after("import icm.no_such_module")
@@ -298,6 +301,32 @@ def test_cli_start_loads_only_what_every_command_needs():
     loaded = modules_after("import icm.cli")
     assert "icm.cli" in loaded
     assert loaded & NOT_AT_CLI_START == set()
+
+
+# Commands, a parse error among them, and the modules each must not load.
+NOT_LOADED_BY = [
+    (["ord", "x^2,y"], {"icm.newton", "icm.monoid"}),
+    (["colon", "x^2,x*y,y^2", "x,y"], {"icm.newton", "icm.monoid"}),
+    (["closure", "x^2,y^"], {"icm.newton", "icm.monoid"}),
+    (["closure", "x^2,y^2"], {"icm.monoid"}),
+    (["closed?", "x^2,x*y,y^2"], {"icm.monoid"}),
+    (["decompose2d", "0,0; 1,0; 0,1"], {"icm.monoid"}),
+    (["phi", "2,0; 0,3"], {"icm.monoid"}),
+    (["colon-factor", "x^2,x*y^2,y^3"], {"icm.monoid"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", NOT_LOADED_BY,
+                         ids=[" ".join(argv) for argv, _ in NOT_LOADED_BY])
+def test_command_loads_only_what_it_runs(argv, absent):
+    """A command's process loads newton and monoid only when it runs
+    them.  main's JSON goes to a buffer, so the probe prints only the
+    module list."""
+    loaded = modules_after("import contextlib, io\nfrom icm.cli import main\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    main({argv!r})")
+    assert "icm.cli" in loaded
+    assert loaded & absent == set()
 
 
 def test_bare_import_loads_no_submodule():

@@ -9,15 +9,14 @@ from operator import add, gt, lt
 
 import pytest
 
-from icm import monoid, newton
+from icm import SearchBudget, monoid, newton
 from icm.errors import (BudgetExceededError, DimensionMismatchError,
                         NotIntegrallyClosedError, NotStarMultipleError)
 from icm.ideals import (MonomialIdeal, minimalize, ord_valuation,
                         principal_ideal, product, staircase, unit_ideal)
-from icm.monoid import (SearchBudget, _Dividend, all_factorizations,
-                        closed_supersets, divides, factor_atoms,
-                        is_star_irreducible, quotient_cancel, star,
-                        star_power)
+from icm.monoid import (_Dividend, all_factorizations, closed_supersets,
+                        divides, factor_atoms, is_star_irreducible,
+                        quotient_cancel, star, star_power)
 from icm.newton import (_descending_edges, _facet_inequalities,
                         convex_chain, integral_closure,
                         is_integrally_closed)
@@ -143,9 +142,10 @@ class TestStar:
 
     def test_2d_forms_no_pairwise_sums(self, monkeypatch):
         # a 2D star never reaches the closure of raw points, so it costs
-        # the generators it returns: the ROADMAP's star(A, B) of two
-        # 1,001-generator ideals answers with the point closure patched to
-        # raise.  A star power closes its n-th powers, which in 2D reads
+        # the generators it returns: star(A, B) of the 1,001-generator
+        # ideals A = closure(x^3000, y^1000) and
+        # B = closure(x^2000, x^700*y^300, y^2500) answers with the point
+        # closure patched to raise.  A star power closes its n-th powers, which in 2D reads
         # their polygon's edges: it answers with the facet walk patched to
         # raise
         A0 = parse_ideal("x^3000,y^1000")

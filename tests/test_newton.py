@@ -9,8 +9,8 @@ import pytest
 
 from icm import newton
 from icm.errors import DimensionMismatchError
-from icm.ideals import (MonomialIdeal, contains, minimalize, principal_ideal,
-                        product, staircase, unit_ideal)
+from icm.ideals import (MAX_DIM, MonomialIdeal, contains, minimalize,
+                        principal_ideal, product, staircase, unit_ideal)
 from icm.monoid import star, star_power
 from icm.newton import (NewtonPolyhedron, _double_description,
                         _facet_inequalities, integral_closure,
@@ -75,6 +75,13 @@ class TestMember:
     def test_polyhedron_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
             NewtonPolyhedron(2, ((1, 0), (0, 1, 0)))
+
+    def test_polyhedron_rejects_dimension_above_cap(self):
+        with pytest.raises(ValueError, match=re.escape(
+                f"ambient dimension must be <= {MAX_DIM}, "
+                f"got {MAX_DIM + 1}")):
+            NewtonPolyhedron(MAX_DIM + 1, ((0,) * (MAX_DIM + 1),))
+        assert NewtonPolyhedron(MAX_DIM, ((0,) * MAX_DIM,)).dim == MAX_DIM
 
     @pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(1), True, "1"])
     def test_polyhedron_rejects_non_integer_points(self, bad):

@@ -1,10 +1,11 @@
 import copy
 import pickle
+import re
 
 import pytest
 
 from icm.errors import IdealParseError
-from icm.ideals import MonomialIdeal, unit_ideal
+from icm.ideals import MAX_DIM, MonomialIdeal, unit_ideal
 from icm.parsing import (ideal_from_document, ideal_to_document, parse_ideal,
                          parse_points, render_ideal)
 
@@ -139,6 +140,39 @@ class TestParseErrors:
         assert str(again) == str(exc.value) == \
             "variable index must be >= 1, got x0 (at position 2)"
         assert again.position == 2
+
+
+class TestDimensionCap:
+    """A dimension above MAX_DIM is refused where the parser reads it,
+    before any point of that length is built."""
+
+    @pytest.mark.parametrize("text, index, position", [
+        (f"x{MAX_DIM + 1}", MAX_DIM + 1, 0),
+        (f"x, y*x{MAX_DIM + 1}^2", MAX_DIM + 1, 5),
+        ("x9999999999", 9999999999, 0)])
+    def test_inferred_dimension_at_the_variable(self, text, index, position):
+        with pytest.raises(IdealParseError) as exc:
+            parse_ideal(text)
+        assert exc.value.args == (
+            f"variable index {index} exceeds the dimension cap {MAX_DIM}",
+            position)
+
+    def test_cap_itself_is_allowed(self):
+        assert parse_ideal(f"x{MAX_DIM}").dim == MAX_DIM
+        assert parse_ideal("x", dim=MAX_DIM).dim == MAX_DIM
+
+    def test_explicit_dimension(self):
+        # refused before the unit generator's 10^12 zeros are built
+        with pytest.raises(ValueError, match=re.escape(
+                f"ambient dimension must be <= {MAX_DIM}, got {10 ** 12}")):
+            parse_ideal("1", dim=10 ** 12)
+
+    def test_document_vars(self):
+        with pytest.raises(IdealParseError) as exc:
+            ideal_from_document({"vars": MAX_DIM + 1, "gens": [[1]]})
+        assert exc.value.args == (
+            "bad ideal document: ambient dimension must be "
+            f"<= {MAX_DIM}, got {MAX_DIM + 1}", 0)
 
 
 class TestRender:

@@ -8,7 +8,7 @@ import pytest
 from icm import newton, polytopes
 from icm.errors import (BudgetExceededError, DimensionMismatchError,
                         NotIntegrallyClosedError)
-from icm.ideals import MonomialIdeal, unit_ideal
+from icm.ideals import MAX_DIM, MonomialIdeal, unit_ideal
 from icm.monoid import closed_supersets, factor_atoms, star
 from icm.newton import integral_closure
 from icm.polytopes import (BasisElement, IdealClassElement, IntegralPolytope,
@@ -71,6 +71,19 @@ class TestHull:
     def test_polytope_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
             IntegralPolytope(2, ((0, 0), (1,)))
+
+    def test_dimension_cap_is_the_polytopes_own(self):
+        # a d >= 3 hull lifts its points to d + 1, past the cap at d =
+        # MAX_DIM; the cap and its message name the polytope's dimension
+        d = MAX_DIM
+        pts = [(0,) * d, (2,) + (0,) * (d - 1), (1,) + (0,) * (d - 1),
+               (0, 1) + (0,) * (d - 2)]
+        assert IntegralPolytope(d, pts).verts == tuple(sorted(
+            set(pts) - {(1,) + (0,) * (d - 1)}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"ambient dimension must be <= {MAX_DIM}, "
+                f"got {MAX_DIM + 1}")):
+            IntegralPolytope(d + 1, [(0,) * (d + 1)])
 
     @pytest.mark.parametrize("point", [
         (1.5, 0), (1.0, 0), (True, 0), (0, False), (1.5, 0, 0), (0, 0, True)],
